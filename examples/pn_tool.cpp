@@ -36,10 +36,15 @@
 //                                  metrics JSONL (stdout, or FILE); --trace
 //                                  writes a Chrome trace of the run's phase
 //                                  spans, loadable in Perfetto
-//   pn_tool batch    [--jobs N] [--max-allocations A] [--no-codegen]
+//   pn_tool batch    [--jobs N] [--max-allocations R] [--no-codegen]
 //                    [--verbose] [--stats[=FILE]] [--trace=FILE] model.pn...
 //                                  run the full flow over many nets in
-//                                  parallel and print a batch report
+//                                  parallel and print a batch report.
+//                                  --max-allocations (batch, fuzz, serve)
+//                                  caps the T-reductions the scheduler
+//                                  computes per net, not the allocation
+//                                  product; a net needing more stops as
+//                                  resource-limit
 //   pn_tool generate [--seed S] [--count N]
 //                    [--family fc|mg|choice|client|layered|bursty]
 //                    [--sources K] [--depth D] [--tokens L] [--defects P]
@@ -49,7 +54,8 @@
 //                                  firings via a seeded credit place)
 //   pn_tool fuzz     [--seeds N] [--seed-begin S] [--family F]...
 //                    [--mutations M] [--max-states S] [--max-bytes B]
-//                    [--threads N] [--no-shrink] [--no-synthesis] [--out DIR]
+//                    [--threads N] [--max-allocations R] [--no-shrink]
+//                    [--no-synthesis] [--out DIR]
 //                                  differential fuzzing: mutate generated
 //                                  nets (pn/mutator.hpp) and require
 //                                  agreeing verdicts across {sequential,
@@ -58,7 +64,7 @@
 //                                  are shrunk to minimal .pn reproducers in
 //                                  DIR (default fuzz-reproducers/), exit 1
 //   pn_tool serve    [--jobs N] [--queue N] [--cache N]
-//                    [--max-allocations A] [--no-codegen] [--no-code]
+//                    [--max-allocations R] [--no-codegen] [--no-code]
 //                    [--max-input-bytes B] [--max-bytes B] [--tcp PORT]
 //                    [--stats[=FILE]] [--trace=FILE]
 //                                  resident synthesis service speaking
@@ -633,8 +639,10 @@ constexpr cli::command commands[] = {
      "                  [--stats[=FILE]] [--trace=FILE] model.pn",
      cmd_explore},
     {"batch",
-     "[--jobs N] [--max-allocations A] [--no-codegen] [--verbose]\n"
-     "                  [--stats[=FILE]] [--trace=FILE] model.pn...",
+     "[--jobs N] [--max-allocations R] [--no-codegen] [--verbose]\n"
+     "                  [--stats[=FILE]] [--trace=FILE] model.pn...\n"
+     "                  (R caps the T-reductions computed per net, also for\n"
+     "                  fuzz and serve)",
      cmd_batch},
     {"generate",
      "[--seed S] [--count N] [--family fc|mg|choice|client|layered|bursty]\n"
@@ -645,12 +653,12 @@ constexpr cli::command commands[] = {
     {"fuzz",
      "[--seeds N] [--seed-begin S] [--family F]... [--mutations M]\n"
      "                  [--max-states S] [--max-bytes B] [--threads N] "
-     "[--max-allocations A]\n"
+     "[--max-allocations R]\n"
      "                  [--no-shrink] [--no-synthesis] [--verbose] [--out DIR]\n"
      "                  [--stats[=FILE]] [--trace=FILE]",
      cmd_fuzz},
     {"serve",
-     "[--jobs N] [--queue N] [--cache N] [--max-allocations A]\n"
+     "[--jobs N] [--queue N] [--cache N] [--max-allocations R]\n"
      "                  [--no-codegen] [--no-code] [--max-input-bytes B] "
      "[--max-bytes B]\n"
      "                  [--tcp PORT]\n"

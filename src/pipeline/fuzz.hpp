@@ -62,7 +62,8 @@ struct fuzz_options {
     std::size_t max_bytes = 0;
     /// Thread count of the parallel-engine column.
     std::size_t threads = 2;
-    /// Scheduler allocation budget for the synthesis pass on each mutant.
+    /// Scheduler budget (T-reductions computed) for the synthesis pass on
+    /// each mutant.
     std::size_t max_allocations = 512;
     /// Run the synthesis pipeline on each mutant (off explores only).
     bool run_synthesis = true;

@@ -4,6 +4,7 @@
 
 #include "base/error.hpp"
 #include "pn/builder.hpp"
+#include "qss/reduction_internal.hpp"
 
 namespace fcqss::qss {
 
@@ -43,11 +44,11 @@ public:
         result_.keep_place.assign(net.place_count(), true);
     }
 
-    t_reduction run(const std::vector<choice_cluster>& clusters,
-                    const t_allocation& allocation)
+    /// Removes the `excluded` transitions (the trace follows their order),
+    /// then runs the rules to their fixpoint.
+    t_reduction run(const std::vector<pn::transition_id>& excluded)
     {
-        result_.allocation = allocation;
-        for (pn::transition_id t : excluded_transitions(clusters, allocation)) {
+        for (pn::transition_id t : excluded) {
             remove_transition(t, reduction_step::kind::remove_unallocated_transition,
                               "unallocated");
         }
@@ -244,8 +245,30 @@ t_reduction reduce(const pn::petri_net& net, const std::vector<choice_cluster>& 
     if (allocation.chosen.size() != clusters.size()) {
         throw model_error("reduce: allocation does not match cluster count");
     }
-    return reducer(net, record_trace).run(clusters, allocation);
+    t_reduction result =
+        reducer(net, record_trace).run(excluded_transitions(clusters, allocation));
+    result.allocation = allocation;
+    return result;
 }
+
+namespace detail {
+
+t_reduction prefix_reduction(const pn::petri_net& net,
+                             const std::vector<choice_cluster>& clusters,
+                             const t_allocation& allocation, std::size_t fixed)
+{
+    std::vector<pn::transition_id> excluded;
+    for (std::size_t i = 0; i < fixed; ++i) {
+        for (pn::transition_id t : clusters[i].alternatives) {
+            if (t != allocation.chosen[i]) {
+                excluded.push_back(t);
+            }
+        }
+    }
+    return reducer(net, false).run(excluded);
+}
+
+} // namespace detail
 
 reduced_net materialize(const pn::petri_net& net, const t_reduction& reduction)
 {

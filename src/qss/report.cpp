@@ -29,8 +29,9 @@ std::string synthesis_report(const pn::petri_net& net, const report_options& opt
          std::to_string(stats.sink_transitions) + " sinks");
 
     const qss_result result = quasi_static_schedule(net);
-    line("allocations enumerated: " + std::to_string(result.allocations_enumerated) +
-         "; distinct T-reductions: " + std::to_string(result.entries.size()));
+    line("allocation space: " + std::to_string(result.allocations_enumerated) +
+         "; T-reductions computed: " + std::to_string(result.reductions_computed) +
+         "; distinct: " + std::to_string(result.entries.size()));
 
     if (!result.schedulable) {
         line("VERDICT: NOT quasi-statically schedulable");

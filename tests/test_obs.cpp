@@ -16,9 +16,11 @@
 
 #include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
+#include "pn/builder.hpp"
 #include "pn/petri_net.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
+#include "qss/scheduler.hpp"
 
 namespace fcqss::obs {
 namespace {
@@ -355,6 +357,54 @@ TEST_F(obs_snapshot, sequential_explore_flushes_matching_totals)
     EXPECT_EQ(metric_value(rows, "pn.explore.edges"),
               static_cast<double>(space.edge_count()));
     EXPECT_GT(metric_value(rows, "pn.store.hash_probes"), 0.0);
+}
+
+TEST_F(obs_snapshot, qss_counters_count_the_search_exactly)
+{
+    // src -> pc1 -> {a | c}; a -> pa -> mid -> pc2 -> {d | e}.  The search
+    // enters the root, branches on pc1, under a branches on pc2 (two
+    // leaves); under c the prefix reduction has removed pc2, so pc2 is
+    // pruned and one leaf follows: 5 nodes, 1 pruned cluster, 3 reductions
+    // computed, all distinct, out of an allocation space of 4.
+    pn::net_builder b("nested_choice");
+    const auto src = b.add_transition("src");
+    const auto pc1 = b.add_place("pc1");
+    const auto a = b.add_transition("a");
+    const auto c = b.add_transition("c");
+    const auto pa = b.add_place("pa");
+    const auto mid = b.add_transition("mid");
+    const auto pc2 = b.add_place("pc2");
+    b.add_arc(src, pc1);
+    b.add_arc(pc1, a);
+    b.add_arc(pc1, c);
+    b.add_arc(a, pa);
+    b.add_arc(pa, mid);
+    b.add_arc(mid, pc2);
+    b.add_arc(pc2, b.add_transition("d"));
+    b.add_arc(pc2, b.add_transition("e"));
+    const pn::petri_net net = std::move(b).build();
+
+    set_stats_enabled(true);
+    set_tracing_enabled(true);
+    const qss::qss_result result = qss::quasi_static_schedule(net);
+    ASSERT_TRUE(result.schedulable) << result.diagnosis;
+    EXPECT_EQ(result.allocations_enumerated, 4u);
+    EXPECT_EQ(result.reductions_computed, 3u);
+
+    const std::vector<metric> rows = snapshot();
+    EXPECT_EQ(metric_value(rows, "qss.reductions_computed"), 3.0);
+    EXPECT_EQ(metric_value(rows, "qss.reductions_distinct"), 3.0);
+    EXPECT_EQ(metric_value(rows, "qss.dfs_nodes"), 5.0);
+    EXPECT_EQ(metric_value(rows, "qss.pruned_clusters"), 1.0);
+    const std::string jsonl = metrics_jsonl();
+    EXPECT_NE(jsonl.find(R"("label":"qss.dfs_nodes","unit":"count","value":"5")"),
+              std::string::npos);
+
+    // One qss.enumerate and one qss.check span per schedule.
+    EXPECT_EQ(trace_event_count(), 2u);
+    const std::string trace = chrome_trace_json();
+    EXPECT_NE(trace.find("\"qss.enumerate\""), std::string::npos);
+    EXPECT_NE(trace.find("\"qss.check\""), std::string::npos);
 }
 
 } // namespace

@@ -45,6 +45,10 @@ TEST(report, cycle_preview_limits_output)
     options.check_executability = false; // 120 cycles: keep the test quick
     const std::string report = qss::synthesis_report(atm::build_atm_net(), options);
     EXPECT_NE(report.find("120 finite complete cycles, showing 2"), std::string::npos);
+    // The scheduler's search reduces one allocation per distinct subnet here.
+    EXPECT_NE(
+        report.find("allocation space: 4608; T-reductions computed: 120; distinct: 120"),
+        std::string::npos);
 }
 
 TEST(structural_bounds, conservative_ring_bounded)

@@ -257,6 +257,7 @@ TEST(service, inflight_duplicates_attach_to_the_running_synthesis)
 {
     std::mutex gate_mutex;
     std::condition_variable gate_cv;
+    bool entered = false;
     bool release = false;
 
     service_options options;
@@ -272,10 +273,18 @@ TEST(service, inflight_duplicates_attach_to_the_running_synthesis)
         [&](request_id, pipeline_stage stage, const pipeline_result&) {
             if (stage == pipeline_stage::parse) {
                 std::unique_lock lock(gate_mutex);
+                entered = true;
+                gate_cv.notify_all();
                 gate_cv.wait(lock, [&] { return release; });
             }
         });
     ASSERT_EQ(leader.status, submit_status::accepted);
+    // With two workers the duplicate could otherwise reach dedupe admission
+    // first and lead; the parse callback runs after the leader registered.
+    {
+        std::unique_lock lock(gate_mutex);
+        gate_cv.wait(lock, [&] { return entered; });
+    }
 
     const auto duplicate =
         svc.submit(net_source::from_text("dup", text), collector.callback());
