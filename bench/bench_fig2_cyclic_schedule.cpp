@@ -61,7 +61,7 @@ void bm_static_schedule_chain(benchmark::State& state)
     sdf::sdf_graph graph("chain");
     const int actors = static_cast<int>(state.range(0));
     for (int i = 0; i < actors; ++i) {
-        (void)graph.add_actor("a" + std::to_string(i));
+        (void)graph.add_actor(benchutil::numbered("a", i));
     }
     for (int i = 0; i + 1 < actors; ++i) {
         graph.add_channel(static_cast<sdf::actor_id>(i),

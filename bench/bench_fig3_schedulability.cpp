@@ -17,7 +17,10 @@ std::string vector_text(const linalg::int_vector& v)
 {
     std::string text = "(";
     for (std::size_t i = 0; i < v.size(); ++i) {
-        text += (i ? "," : "") + std::to_string(v[i]);
+        if (i != 0) {
+            text += ',';
+        }
+        text += std::to_string(v[i]);
     }
     return text + ")";
 }

@@ -19,9 +19,11 @@ pn::petri_net cf_net(int width, int depth)
     for (int w = 0; w < width; ++w) {
         auto prev = b.add_transition("src" + std::to_string(w));
         for (int d = 0; d < depth; ++d) {
-            const auto p = b.add_place("p" + std::to_string(w) + "_" + std::to_string(d));
+            const auto p = b.add_place(
+                benchutil::numbered(benchutil::numbered("p", w) + "_", d));
             b.add_arc(prev, p, 1 + (d % 2));
-            prev = b.add_transition("t" + std::to_string(w) + "_" + std::to_string(d));
+            prev = b.add_transition(
+                benchutil::numbered(benchutil::numbered("t", w) + "_", d));
             b.add_arc(p, prev, 1 + (d % 2));
         }
     }

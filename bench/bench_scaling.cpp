@@ -34,7 +34,7 @@ pn::petri_net parallel_choices(int choices)
     pn::net_builder b("choices_" + std::to_string(choices));
     const auto src = b.add_transition("src");
     for (int i = 0; i < choices; ++i) {
-        const auto p = b.add_place("c" + std::to_string(i));
+        const auto p = b.add_place(benchutil::numbered("c", i));
         b.add_arc(src, p);
         const auto yes = b.add_transition("yes" + std::to_string(i));
         const auto no = b.add_transition("no" + std::to_string(i));
@@ -51,9 +51,9 @@ pn::petri_net pipeline(int length)
     pn::net_builder b("pipe_" + std::to_string(length));
     auto prev = b.add_transition("src");
     for (int i = 0; i < length; ++i) {
-        const auto p = b.add_place("p" + std::to_string(i));
+        const auto p = b.add_place(benchutil::numbered("p", i));
         b.add_arc(prev, p);
-        prev = b.add_transition("t" + std::to_string(i));
+        prev = b.add_transition(benchutil::numbered("t", i));
         b.add_arc(p, prev);
     }
     return std::move(b).build();
@@ -109,61 +109,18 @@ pn::petri_net generated_net(pipeline::net_family family, std::size_t min_transit
     }
 }
 
-// Best-of-`runs` wall-clock states/second of one exploration function.
-template <typename Explore>
-double states_per_second(const pn::petri_net& net,
-                         const pn::reachability_options& options, Explore&& explore_fn,
-                         int runs, std::size_t& states_out)
+// Wall-clock states/second of one naive reference exploration.
+double reference_states_per_second(const pn::petri_net& net,
+                                   const pn::reachability_options& options,
+                                   std::size_t& states_out)
 {
-    double best_seconds = 0.0;
-    for (int run = 0; run < runs; ++run) {
-        const auto start = std::chrono::steady_clock::now();
-        const pn::reachability_graph graph = explore_fn(net, options);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        states_out = graph.size();
-        benchmark::DoNotOptimize(graph);
-        if (run == 0 || elapsed.count() < best_seconds) {
-            best_seconds = elapsed.count();
-        }
-    }
-    return static_cast<double>(states_out) / best_seconds;
-}
-
-// Before/after rows for the arena-interned state-space engine (this PR's
-// tentpole): explore() now runs on pn/state_space.hpp, explore_reference()
-// is the pre-refactor naive BFS kept for exactly this comparison.
-void report_state_space_engine()
-{
-    benchutil::heading("state-space engine states/second (arena vs naive reference)");
-    std::printf("  %8s %8s %8s %12s %12s %9s\n", "family", "|T|", "states", "ref st/s",
-                "arena st/s", "speedup");
-    const pn::reachability_options options{.max_markings = 4000,
-                                           .max_tokens_per_place = 1 << 20};
-    for (const pipeline::net_family family :
-         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
-          pipeline::net_family::marked_graph}) {
-        const pn::petri_net net = generated_net(family, 500);
-        std::size_t states = 0;
-        // One reference run (it is the slow side by orders of magnitude),
-        // best-of-three for the arena engine.
-        const double reference =
-            states_per_second(net, options, pn::explore_reference, 1, states);
-        const double arena = states_per_second(net, options, pn::explore, 3, states);
-        std::printf("  %8s %8zu %8zu %12.0f %12.0f %8.1fx\n",
-                    pipeline::to_string(family), net.transition_count(), states,
-                    reference, arena, arena / reference);
-        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
-        benchutil::row(prefix + "transitions", std::to_string(net.transition_count()));
-        benchutil::row(prefix + "states explored", std::to_string(states));
-        benchutil::row(prefix + "reference states/s",
-                       std::to_string(static_cast<long long>(reference)));
-        benchutil::row(prefix + "arena states/s",
-                       std::to_string(static_cast<long long>(arena)));
-        char speedup[32];
-        std::snprintf(speedup, sizeof speedup, "%.2f", arena / reference);
-        benchutil::row(prefix + "speedup", speedup);
-    }
+    const auto start = std::chrono::steady_clock::now();
+    const pn::reachability_graph graph = pn::explore_reference(net, options);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    states_out = graph.size();
+    benchmark::DoNotOptimize(graph);
+    return static_cast<double>(states_out) / elapsed.count();
 }
 
 // Best-of-`runs` wall-clock states/second of the engine itself (compact
@@ -190,6 +147,41 @@ double engine_states_per_second(const pn::petri_net& net,
         }
     }
     return static_cast<double>(states_out) / best_seconds;
+}
+
+// Before/after rows for the arena-interned state-space engine:
+// explore_space() against explore_reference(), the naive BFS kept for
+// exactly this comparison.
+void report_state_space_engine()
+{
+    benchutil::heading("state-space engine states/second (arena vs naive reference)");
+    std::printf("  %8s %8s %8s %12s %12s %9s\n", "family", "|T|", "states", "ref st/s",
+                "arena st/s", "speedup");
+    const pn::reachability_options options{.max_markings = 4000,
+                                           .max_tokens_per_place = 1 << 20};
+    for (const pipeline::net_family family :
+         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
+          pipeline::net_family::marked_graph}) {
+        const pn::petri_net net = generated_net(family, 500);
+        std::size_t states = 0;
+        // One reference run (it is the slow side by orders of magnitude),
+        // best-of-three for the arena engine.
+        const double reference = reference_states_per_second(net, options, states);
+        const double arena = engine_states_per_second(net, options, 3, states);
+        std::printf("  %8s %8zu %8zu %12.0f %12.0f %8.1fx\n",
+                    pipeline::to_string(family), net.transition_count(), states,
+                    reference, arena, arena / reference);
+        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
+        benchutil::row(prefix + "transitions", std::to_string(net.transition_count()));
+        benchutil::row(prefix + "states explored", std::to_string(states));
+        benchutil::row(prefix + "reference states/s",
+                       std::to_string(static_cast<long long>(reference)));
+        benchutil::row(prefix + "arena states/s",
+                       std::to_string(static_cast<long long>(arena)));
+        char speedup[32];
+        std::snprintf(speedup, sizeof speedup, "%.2f", arena / reference);
+        benchutil::row(prefix + "speedup", speedup);
+    }
 }
 
 // Thread-scaling rows for the sharded parallel engine (PR 3 tentpole): the
@@ -258,63 +250,13 @@ bool identical_spaces(const pn::state_space& a, const pn::state_space& b)
     return true;
 }
 
-// Unordered-mode rows (this PR's tentpole): the barrier-free engine (free-
-// running shards over work-stealing inboxes plus a deterministic BFS
-// renumber pass) at 4 threads against the level-synchronous engine at 4
-// threads on the same nets, plus a bit-identity column checking the
-// renumbered result against the sequential engine.  CI gates on the
-// choice-heavy "unord4 vs par4" row staying >= 1.0 — killing the level
-// barrier must not lose throughput where levels are shallow and wide — and
-// on every "unord identical" row staying 1.
-void report_unordered_engine()
-{
-    benchutil::heading("unordered exploration (barrier-free workers + BFS renumber "
-                       "vs level-synchronous engine, 4 threads)");
-    std::printf("  %8s %8s %8s %12s %12s %9s %10s\n", "family", "|T|", "states",
-                "par4 st/s", "unord4 st/s", "unord x", "identical");
-    pn::reachability_options options{.max_markings = 60000,
-                                     .max_tokens_per_place = 1 << 20};
-    for (const pipeline::net_family family :
-         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
-          pipeline::net_family::marked_graph}) {
-        const pn::petri_net net = generated_net(family, 500);
-        std::size_t states = 0;
-        options.threads = 4;
-        options.order = pn::exploration_order::ordered;
-        const double leveled = engine_states_per_second(net, options, 3, states);
-        options.order = pn::exploration_order::unordered;
-        const double unordered = engine_states_per_second(net, options, 3, states);
-
-        pn::reachability_options check = options;
-        check.threads = 1;
-        check.order = pn::exploration_order::ordered;
-        const pn::state_space sequential = pn::explore_space(net, check);
-        check.threads = 4;
-        check.order = pn::exploration_order::unordered;
-        const bool identical =
-            identical_spaces(sequential, pn::explore_space(net, check));
-
-        std::printf("  %8s %8zu %8zu %12.0f %12.0f %8.2fx %10s\n",
-                    pipeline::to_string(family), net.transition_count(), states,
-                    leveled, unordered, unordered / leveled,
-                    identical ? "yes" : "NO");
-        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
-        benchutil::row(prefix + "unord4 states/s",
-                       std::to_string(static_cast<long long>(unordered)));
-        char ratio[32];
-        std::snprintf(ratio, sizeof ratio, "%.2f", unordered / leveled);
-        benchutil::row(prefix + "unord4 vs par4", ratio);
-        benchutil::row(prefix + "unord identical", identical ? "1" : "0");
-    }
-}
-
 // External-memory rows (this PR's tentpole): the sequential engine on a
 // free-choice net at increasing spill pressure.  The budget is derived from
 // the unlimited run's own arena size B: @0 runs with 2B (pager engaged, no
 // eviction), @0.5 with B/2 and @0.9 with B/10 (nearly everything cold).
 // Bit-identity of the @0.5 run against the unlimited run is reported as a
 // 0/1 row and gated by CI; bench_diff tracks "spill states/s @0.5" with a
-// fail-below floor so the decode path cannot quietly collapse.
+// fail-below floor so exploration under eviction cannot quietly collapse.
 void report_spill()
 {
     benchutil::heading("external-memory exploration (mmap spill, sequential "
@@ -594,7 +536,6 @@ void report()
 {
     report_state_space_engine();
     report_parallel_engine();
-    report_unordered_engine();
     report_spill();
     report_stubborn_reduction();
     report_ltlx_reduction();
@@ -633,7 +574,7 @@ void bm_explore_arena(benchmark::State& state)
                                                static_cast<std::size_t>(state.range(0)),
                                            .max_tokens_per_place = 1 << 20};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(pn::explore(net, options));
+        benchmark::DoNotOptimize(pn::explore_space(net, options));
     }
 }
 BENCHMARK(bm_explore_arena)->Arg(1000)->Arg(4000);
@@ -655,10 +596,10 @@ BENCHMARK(bm_explore_reference)->Arg(1000);
 void bm_explore_parallel(benchmark::State& state)
 {
     const auto net = generated_net(pipeline::net_family::free_choice, 500);
-    const pn::parallel_explore_options options{
-        .threads = static_cast<std::size_t>(state.range(0)),
-        .max_states = 20000,
-        .max_tokens_per_place = 1 << 20};
+    const pn::reachability_options options{
+        .max_markings = 20000,
+        .max_tokens_per_place = 1 << 20,
+        .threads = static_cast<std::size_t>(state.range(0))};
     for (auto _ : state) {
         benchmark::DoNotOptimize(pn::explore_parallel(net, options));
     }
@@ -668,8 +609,8 @@ BENCHMARK(bm_explore_parallel)->Arg(1)->Arg(2)->Arg(4);
 void bm_explore_stubborn(benchmark::State& state)
 {
     const auto net = generated_net(pipeline::net_family::choice_heavy, 500, 2);
-    const pn::state_space_options options{
-        .max_states = static_cast<std::size_t>(state.range(0)),
+    const pn::reachability_options options{
+        .max_markings = static_cast<std::size_t>(state.range(0)),
         .max_tokens_per_place = 1 << 20,
         .reduction = pn::reduction_kind::stubborn};
     for (auto _ : state) {
@@ -681,8 +622,8 @@ BENCHMARK(bm_explore_stubborn)->Arg(20000);
 void bm_explore_stubborn_ltlx(benchmark::State& state)
 {
     const auto net = generated_net(pipeline::net_family::choice_heavy, 500, 2);
-    const pn::state_space_options options{
-        .max_states = static_cast<std::size_t>(state.range(0)),
+    const pn::reachability_options options{
+        .max_markings = static_cast<std::size_t>(state.range(0)),
         .max_tokens_per_place = 1 << 20,
         .reduction = pn::reduction_kind::stubborn,
         .strength = pn::reduction_strength::ltl_x};

@@ -24,6 +24,15 @@ inline bool& json_mode()
     return enabled;
 }
 
+/// `prefix` followed by the decimal digits of `n` ("p", 3 -> "p3"): the
+/// element names of generated bench nets.  Appends instead of concatenating
+/// onto a temporary, which GCC 12 misreports under -Wrestrict.
+inline std::string numbered(std::string prefix, long long n)
+{
+    prefix += std::to_string(n);
+    return prefix;
+}
+
 inline std::string& current_heading()
 {
     static std::string heading;

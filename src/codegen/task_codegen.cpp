@@ -233,7 +233,8 @@ private:
         const bool use_while =
             ctx_.needs_while[p.index()] || produced_forces_while(p, produced);
 
-        const std::string unit_key = "p" + std::to_string(p.value());
+        std::string unit_key = "p";
+        unit_key += std::to_string(p.value());
         const auto on_path = on_path_label_.find(unit_key);
         if (on_path != on_path_label_.end()) {
             used_labels_.insert(on_path->second);

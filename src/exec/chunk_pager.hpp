@@ -93,9 +93,8 @@ public:
 
     /// True when the chunk's pages are believed resident.  Conservative:
     /// an evicted chunk that refaulted through a direct read stays
-    /// "non-resident" until the next eviction pass re-ages it, so callers
-    /// using this to *avoid* faults (the decode cache) never see a false
-    /// "resident".
+    /// "non-resident" until the next eviction pass re-ages it, so a caller
+    /// using this to *avoid* faults never sees a false "resident".
     [[nodiscard]] bool resident(std::uint32_t id) const;
 
     /// True when chunks are backed by the spill file (budgeted mode).

@@ -1,7 +1,9 @@
 #include "obs/obs.hpp"
 
 #include <bit>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <memory>
@@ -224,25 +226,24 @@ std::vector<metric> snapshot()
     std::vector<metric> rows;
     rows.reserve(r.counters.size() + r.gauges.size() + 5 * r.histograms.size());
     for (const counter& c : r.counters) {
-        rows.push_back({c.name(), c.unit(), static_cast<double>(c.value()), true});
+        rows.push_back({c.name(), c.unit(), static_cast<double>(c.value())});
     }
     for (const gauge& g : r.gauges) {
-        rows.push_back({g.name(), g.unit(), g.value(), false});
+        rows.push_back({g.name(), g.unit(), g.value()});
     }
     for (const histogram& h : r.histograms) {
         const std::uint64_t count = h.count();
         const std::uint64_t sum = h.sum();
-        rows.push_back({h.name() + ".count", "count", static_cast<double>(count), true});
-        rows.push_back({h.name() + ".sum", h.unit(), static_cast<double>(sum), true});
+        rows.push_back({h.name() + ".count", "count", static_cast<double>(count)});
+        rows.push_back({h.name() + ".sum", h.unit(), static_cast<double>(sum)});
         rows.push_back({h.name() + ".mean", h.unit(),
                         count == 0 ? 0.0
                                    : static_cast<double>(sum) /
-                                         static_cast<double>(count),
-                        false});
+                                         static_cast<double>(count)});
         rows.push_back({h.name() + ".p50", h.unit(),
-                        static_cast<double>(h.quantile(0.50)), true});
+                        static_cast<double>(h.quantile(0.50))});
         rows.push_back({h.name() + ".p99", h.unit(),
-                        static_cast<double>(h.quantile(0.99)), true});
+                        static_cast<double>(h.quantile(0.99))});
     }
     return rows;
 }
@@ -258,13 +259,16 @@ std::string metrics_jsonl(std::string_view bench)
         out += "\",\"unit\":\"";
         json_escape_into(out, row.unit);
         out += "\",\"value\":\"";
+        // Exact: whole values (every counter, and gauges such as peak RSS
+        // bytes) as integers, the rest as the shortest round-trip decimal.
         char buffer[48];
-        if (row.integral) {
-            std::snprintf(buffer, sizeof buffer, "%.0f", row.value);
-        } else {
-            std::snprintf(buffer, sizeof buffer, "%.6g", row.value);
-        }
-        out += buffer;
+        const double value = row.value;
+        const bool whole = std::trunc(value) == value && std::fabs(value) < 0x1p63;
+        const std::to_chars_result printed =
+            whole ? std::to_chars(buffer, buffer + sizeof buffer,
+                                  static_cast<std::int64_t>(value))
+                  : std::to_chars(buffer, buffer + sizeof buffer, value);
+        out.append(buffer, printed.ptr);
         out += "\"}\n";
     }
     return out;

@@ -268,7 +268,6 @@ struct metric {
     std::string name;
     std::string unit;
     double value = 0;
-    bool integral = true; ///< render without decimals
 };
 
 /// Aggregates every registered metric, in registration order (counters,
@@ -278,6 +277,8 @@ struct metric {
 
 /// snapshot() serialized one JSON object per line, in the bench-row schema:
 ///   {"bench":"<bench>","label":"<name>","unit":"<unit>","value":"<num>"}
+/// Values print exactly: whole values as integers, others as the shortest
+/// decimal that reads back to the same double.
 [[nodiscard]] std::string metrics_jsonl(std::string_view bench = "obs");
 
 /// Every recorded span as Chrome trace-event JSON (a {"traceEvents":[...]}

@@ -12,8 +12,6 @@ namespace {
 
 constexpr std::size_t initial_table_capacity = 64;
 constexpr std::size_t target_chunk_bytes = std::size_t{1} << 18; // 256 KiB
-constexpr std::size_t decode_cache_slots = 64;
-constexpr std::size_t decode_chain_limit = 64;
 
 std::uint64_t splitmix64(std::uint64_t x) noexcept
 {
@@ -104,91 +102,6 @@ void marking_store::allocate_chunk()
     }
 }
 
-void marking_store::record_parent(
-    state_id id, state_id parent,
-    std::span<const std::pair<std::uint32_t, std::int64_t>> deltas)
-{
-    if (pager_ == nullptr) {
-        return;
-    }
-    if (delta_of_.size() <= id) {
-        delta_of_.resize(id + 1);
-    }
-    delta_ref& ref = delta_of_[id];
-    ref.parent = parent;
-    ref.begin = static_cast<std::uint32_t>(delta_pool_.size());
-    ref.count = static_cast<std::uint32_t>(deltas.size());
-    delta_pool_.insert(delta_pool_.end(), deltas.begin(), deltas.end());
-}
-
-const std::int64_t* marking_store::cold_row(state_id id)
-{
-    const std::size_t own = id - adopted_count_;
-    const std::size_t chunk = own / states_per_chunk_;
-    const std::int64_t* direct =
-        chunk_rows_[chunk] + (own % states_per_chunk_) * width_;
-    if (pager_chunk_ids_.empty() || pager_->resident(pager_chunk_ids_[chunk])) {
-        return direct;
-    }
-    if (decode_cache_.empty()) {
-        decode_cache_.resize(decode_cache_slots);
-    }
-    decode_slot& slot = decode_cache_[id % decode_cache_slots];
-    if (slot.id == id) {
-        ++stats_.decode_hits;
-        return slot.row.data();
-    }
-    // Walk the parent chain until something materializable: a row in a
-    // resident chunk, an already-decoded cache slot, or — failing both
-    // within the depth cap — a forced (faulting) read of the last ancestor.
-    state_id chain[decode_chain_limit];
-    std::size_t depth = 0;
-    state_id cur = id;
-    const std::int64_t* base = nullptr;
-    bool faulted = false;
-    for (;;) {
-        const std::size_t cur_own = cur - adopted_count_;
-        const std::size_t cur_chunk = cur_own / states_per_chunk_;
-        const std::int64_t* cur_direct =
-            chunk_rows_[cur_chunk] + (cur_own % states_per_chunk_) * width_;
-        if (pager_->resident(pager_chunk_ids_[cur_chunk])) {
-            base = cur_direct;
-            break;
-        }
-        const decode_slot& cached = decode_cache_[cur % decode_cache_slots];
-        if (cached.id == cur) {
-            base = cached.row.data();
-            break;
-        }
-        const bool has_parent = cur < delta_of_.size() &&
-                                delta_of_[cur].parent != invalid_state &&
-                                delta_of_[cur].parent >= adopted_count_;
-        if (!has_parent || depth == decode_chain_limit) {
-            base = cur_direct; // refaults the page: the decode miss
-            faulted = true;
-            break;
-        }
-        chain[depth++] = cur;
-        cur = delta_of_[cur].parent;
-    }
-    // Replay deltas from the base down to id, materializing into the slot.
-    slot.row.assign(base, base + width_);
-    for (std::size_t i = depth; i-- > 0;) {
-        const delta_ref& ref = delta_of_[chain[i]];
-        for (std::uint32_t d = 0; d < ref.count; ++d) {
-            const auto& [place, change] = delta_pool_[ref.begin + d];
-            slot.row[place] += change;
-        }
-    }
-    slot.id = id;
-    if (faulted) {
-        ++stats_.decode_misses;
-    } else {
-        ++stats_.decode_hits;
-    }
-    return slot.row.data();
-}
-
 void marking_store::start_bulk_build(std::size_t count)
 {
     assert(size() == 0 && "bulk build requires an empty store");
@@ -198,9 +111,7 @@ void marking_store::start_bulk_build(std::size_t count)
 void marking_store::grow_bulk_build(std::size_t count)
 {
     assert(count >= size());
-    const std::size_t own = count - adopted_count_;
-    const std::size_t chunk_count =
-        (own + states_per_chunk_ - 1) / states_per_chunk_;
+    const std::size_t chunk_count = (count + states_per_chunk_ - 1) / states_per_chunk_;
     chunk_rows_.reserve(chunk_count);
     while (chunk_rows_.size() < chunk_count) {
         allocate_chunk();
@@ -215,21 +126,6 @@ void marking_store::finish_bulk_build()
         capacity *= 2;
     }
     rebuild_table(capacity);
-}
-
-void marking_store::start_adopt(std::size_t count)
-{
-    assert(size() == 0 && chunk_rows_.empty() &&
-           "adoption requires an empty store");
-    adopted_count_ = count;
-    adopted_rows_.resize(count);
-    hashes_.resize(count);
-}
-
-void marking_store::finish_adopt(std::vector<std::unique_ptr<marking_store>> backing)
-{
-    adopted_backing_ = std::move(backing);
-    finish_bulk_build();
 }
 
 void marking_store::rebuild_table(std::size_t capacity)
@@ -248,26 +144,13 @@ void marking_store::rebuild_table(std::size_t capacity)
 
 std::size_t marking_store::arena_bytes() const noexcept
 {
-    std::size_t bytes =
-        chunk_rows_.size() * states_per_chunk_ * width_ * sizeof(std::int64_t);
-    for (const auto& store : adopted_backing_) {
-        bytes += store->arena_bytes();
-    }
-    return bytes;
+    return chunk_rows_.size() * states_per_chunk_ * width_ * sizeof(std::int64_t);
 }
 
 std::size_t marking_store::memory_bytes() const noexcept
 {
-    std::size_t bytes =
-        chunk_rows_.size() * states_per_chunk_ * width_ * sizeof(std::int64_t) +
-        hashes_.size() * sizeof(std::uint64_t) + table_.size() * sizeof(state_id) +
-        adopted_rows_.size() * sizeof(const std::int64_t*) +
-        delta_pool_.size() * sizeof(delta_pool_[0]) +
-        delta_of_.size() * sizeof(delta_of_[0]);
-    for (const auto& store : adopted_backing_) {
-        bytes += store->memory_bytes();
-    }
-    return bytes;
+    return arena_bytes() + hashes_.size() * sizeof(std::uint64_t) +
+           table_.size() * sizeof(state_id);
 }
 
 } // namespace fcqss::pn

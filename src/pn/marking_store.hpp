@@ -11,20 +11,7 @@
 // arena chunks from the pager instead of the heap.  Under a --max-bytes
 // budget the pager backs chunks with an mmap'd spill file and evicts cold
 // ones (the bump chunk being filled stays pinned); reads of evicted rows
-// refault transparently, so correctness is unaffected.  To keep intern-time
-// equality probes off the fault path, the sequential engine records each
-// inserted state's (BFS parent, firing delta) via record_parent(); probes
-// against rows whose chunk is believed evicted then materialize the row by
-// replaying deltas down the parent chain into a small decode cache instead
-// of touching the cold page.
-//
-// Adoption: the unordered engine's renumber pass used to copy every marking
-// out of the per-shard stores into the result store.  start_adopt() /
-// set_adopted() / finish_adopt() instead let the result store reference the
-// shard stores' rows in place and take ownership of the stores themselves;
-// ids below adopted_count() resolve through the adopted row table, and the
-// store can still grow past them through intern() (enforce_nonignoring
-// appends merged markings after adoption).
+// refault transparently, so correctness is unaffected.
 #ifndef FCQSS_PN_MARKING_STORE_HPP
 #define FCQSS_PN_MARKING_STORE_HPP
 
@@ -57,8 +44,6 @@ struct marking_store_stats {
     std::uint64_t inserts = 0;        ///< markings newly interned
     std::uint64_t budget_rejects = 0; ///< interns refused by max_states
     std::uint64_t resizes = 0;        ///< open-addressing table rebuilds
-    std::uint64_t decode_hits = 0;    ///< cold rows served by the decode cache
-    std::uint64_t decode_misses = 0;  ///< cold rows forced to fault pages back
 };
 
 class marking_store {
@@ -77,7 +62,7 @@ public:
 
     /// Number of token counts per marking (|P| of the net).
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
-    /// Number of distinct markings interned so far (adopted included).
+    /// Number of distinct markings interned so far.
     [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
 
     /// 64-bit hash of a token vector.  Zobrist-style: the hash is the XOR of
@@ -131,7 +116,7 @@ public:
             if (id == invalid_state) {
                 break;
             }
-            if (hashes_[id] == hash && equals(probe_row(id))) {
+            if (hashes_[id] == hash && equals(tokens(id).data())) {
                 ++stats_.dedup_hits;
                 return {id, false};
             }
@@ -142,7 +127,7 @@ public:
         }
         ++stats_.inserts;
         const state_id id = static_cast<state_id>(size());
-        if ((id - adopted_count_) % states_per_chunk_ == 0) {
+        if (id % states_per_chunk_ == 0) {
             allocate_chunk();
         }
         fill(bulk_tokens(id));
@@ -164,12 +149,7 @@ public:
     /// Reads evicted rows straight through the mapping (the pages refault).
     [[nodiscard]] std::span<const std::int64_t> tokens(state_id id) const noexcept
     {
-        if (id < adopted_count_) {
-            return {adopted_rows_[id], width_};
-        }
-        const std::size_t own = id - adopted_count_;
-        return {chunk_rows_[own / states_per_chunk_] +
-                    (own % states_per_chunk_) * width_,
+        return {chunk_rows_[id / states_per_chunk_] + (id % states_per_chunk_) * width_,
                 width_};
     }
 
@@ -180,12 +160,6 @@ public:
     }
 
     // -- External-memory support --------------------------------------------
-
-    /// Records that `id` was inserted as `parent` fired a transition whose
-    /// (place, token delta) list is `deltas` (detail::firing_deltas shape).
-    /// No-op without a pager: the chain only feeds the cold-row decode path.
-    void record_parent(state_id id, state_id parent,
-                       std::span<const std::pair<std::uint32_t, std::int64_t>> deltas);
 
     /// The pager backing this store's arena, or null.
     [[nodiscard]] const std::shared_ptr<exec::chunk_pager>& pager() const noexcept
@@ -221,12 +195,9 @@ public:
     void grow_bulk_build(std::size_t count);
 
     /// Writable token slot of `id` during a bulk build (length width()).
-    /// Not valid for adopted ids.
     [[nodiscard]] std::int64_t* bulk_tokens(state_id id) noexcept
     {
-        const std::size_t own = id - adopted_count_;
-        return chunk_rows_[own / states_per_chunk_] +
-               (own % states_per_chunk_) * width_;
+        return chunk_rows_[id / states_per_chunk_] + (id % states_per_chunk_) * width_;
     }
 
     /// Records the precomputed hash of `id` during a bulk build.
@@ -236,83 +207,26 @@ public:
     /// Entries are trusted to be pairwise distinct (no equality checks).
     void finish_bulk_build();
 
-    // -- Adoption (the unordered engine's zero-copy renumber) ---------------
-    //
-    // Like a bulk build, but the rows stay where the per-shard stores
-    // interned them: set_adopted() records a stable row pointer per final
-    // id, and finish_adopt() takes ownership of the source stores so those
-    // pointers outlive the exploration.  Distinct ids may be recorded from
-    // different threads.  After finish_adopt() the store behaves normally —
-    // lookups see adopted rows, and intern() appends past them.
-
-    /// Pre-sizes an empty store to `count` adopted markings.
-    void start_adopt(std::size_t count);
-
-    /// Records the row pointer and hash of adopted id `id`.
-    void set_adopted(state_id id, const std::int64_t* row,
-                     std::uint64_t hash) noexcept
-    {
-        adopted_rows_[id] = row;
-        hashes_[id] = hash;
-    }
-
-    /// Takes ownership of the stores the adopted rows point into and
-    /// rebuilds the dedup table.  Hashes are trusted pairwise distinct.
-    void finish_adopt(std::vector<std::unique_ptr<marking_store>> backing);
-
-    /// Ids below this resolve through the adopted row table.
-    [[nodiscard]] std::size_t adopted_count() const noexcept { return adopted_count_; }
-
     /// Approximate arena + table footprint, for telemetry and benches.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-    /// Arena chunks allocated so far (own chunks; adopted backing excluded).
+    /// Arena chunks allocated so far.
     [[nodiscard]] std::size_t chunk_count() const noexcept { return chunk_rows_.size(); }
 
     /// Dedup-work tallies since construction (see marking_store_stats).
     [[nodiscard]] const marking_store_stats& stats() const noexcept { return stats_; }
 
 private:
-    /// Parent-chain link of an interned state (invalid_state = unknown);
-    /// the delta half-open range lives in delta_pool_.
-    struct delta_ref {
-        state_id parent = invalid_state;
-        std::uint32_t begin = 0;
-        std::uint32_t count = 0;
-    };
-
-    /// One decode-cache slot: a materialized cold row.
-    struct decode_slot {
-        state_id id = invalid_state;
-        std::vector<std::int64_t> row;
-    };
-
     [[nodiscard]] bool equal_at(state_id id, const std::int64_t* tokens) const noexcept;
     void rebuild_table(std::size_t capacity);
     void allocate_chunk();
 
-    /// The row to hand an equality probe: direct when safe/cheap, decoded
-    /// through the cache when the row's chunk is believed evicted.
-    [[nodiscard]] const std::int64_t* probe_row(state_id id)
-    {
-        if (pager_ == nullptr || id < adopted_count_) {
-            return tokens(id).data();
-        }
-        return cold_row(id);
-    }
-
-    [[nodiscard]] const std::int64_t* cold_row(state_id id);
-
     std::size_t width_;
     std::size_t states_per_chunk_;
-    /// Adopted prefix: row pointers into adopted_backing_'s arenas.
-    std::size_t adopted_count_ = 0;
-    std::vector<const std::int64_t*> adopted_rows_;
-    std::vector<std::unique_ptr<marking_store>> adopted_backing_;
-    /// Bump arena for own (non-adopted) states: fixed-capacity chunks of
-    /// states_per_chunk_ * width_ counts, allocated whole so spans never
-    /// move.  Rows are addressed through chunk_rows_; the memory is owned
-    /// either by owned_chunks_ (heap mode) or by the pager.
+    /// Bump arena: fixed-capacity chunks of states_per_chunk_ * width_
+    /// counts, allocated whole so spans never move.  Rows are addressed
+    /// through chunk_rows_; the memory is owned either by owned_chunks_
+    /// (heap mode) or by the pager.
     std::vector<std::int64_t*> chunk_rows_;
     std::vector<std::unique_ptr<std::int64_t[]>> owned_chunks_;
     std::shared_ptr<exec::chunk_pager> pager_;
@@ -323,10 +237,6 @@ private:
     /// capacity is a power of two, rebuilt from hashes_ on growth.
     std::vector<state_id> table_;
     std::size_t table_mask_ = 0;
-    /// Delta-encoded parent chain (pager mode only) + decode cache.
-    std::vector<delta_ref> delta_of_;
-    std::vector<std::pair<std::uint32_t, std::int64_t>> delta_pool_;
-    std::vector<decode_slot> decode_cache_;
     marking_store_stats stats_{};
 };
 

@@ -1,52 +1,17 @@
 #include "pn/reachability.hpp"
 
 #include <deque>
+#include <unordered_map>
 
 #include "base/error.hpp"
 #include "pn/parallel_explore.hpp"
-#include "pn/state_space.hpp"
 
 namespace fcqss::pn {
 
 state_space explore_space(const petri_net& net, const reachability_options& options)
 {
-    if (options.threads == 1) {
-        return explore_state_space(
-            net, {.max_states = options.max_markings,
-                  .max_tokens_per_place = options.max_tokens_per_place,
-                  .max_bytes = options.max_bytes,
-                  .reduction = options.reduction,
-                  .strength = options.strength,
-                  .observed_places = options.observed_places});
-    }
-    return explore_parallel(net,
-                            {.threads = options.threads,
-                             .max_states = options.max_markings,
-                             .max_tokens_per_place = options.max_tokens_per_place,
-                             .max_bytes = options.max_bytes,
-                             .reduction = options.reduction,
-                             .strength = options.strength,
-                             .observed_places = options.observed_places,
-                             .order = options.order});
-}
-
-reachability_graph explore(const petri_net& net, const reachability_options& options)
-{
-    const state_space space = explore_space(net, options);
-
-    reachability_graph graph;
-    graph.truncated = space.truncated();
-    graph.nodes.reserve(space.state_count());
-    for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        reachability_node node{space.marking_of(s), {}};
-        const std::span<const state_space_edge> edges = space.successors(s);
-        node.successors.reserve(edges.size());
-        for (const state_space_edge& edge : edges) {
-            node.successors.emplace_back(edge.via, static_cast<std::size_t>(edge.to));
-        }
-        graph.nodes.push_back(std::move(node));
-    }
-    return graph;
+    return options.threads == 1 ? explore_state_space(net, options)
+                                : explore_parallel(net, options);
 }
 
 reachability_graph explore_reference(const petri_net& net,

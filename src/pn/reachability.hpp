@@ -1,120 +1,39 @@
 // fcqss — pn/reachability.hpp
-// Explicit-state reachability graph with an exploration budget.  Used for
-// deadlock checks, liveness of bounded nets and for cross-validating the
-// structural analyses in tests.
+// Explicit-state exploration with a budget: explore_space() is the front
+// door, and the span-served queries answer deadlock, reachability, path
+// and bound questions from its compact state_space.  Used for deadlock
+// checks, liveness of bounded nets and for cross-validating the structural
+// analyses in tests.  explore_reference() and its reachability_graph are
+// the naive oracle the engines are tested against.
 #ifndef FCQSS_PN_REACHABILITY_HPP
 #define FCQSS_PN_REACHABILITY_HPP
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "pn/firing.hpp"
 #include "pn/marking.hpp"
 #include "pn/petri_net.hpp"
-#include "pn/parallel_explore.hpp"
 #include "pn/state_space.hpp"
 
 namespace fcqss::pn {
 
-/// Limits for explicit exploration.  `max_markings` bounds the state count;
-/// `max_tokens_per_place` aborts exploration of (necessarily unbounded) runs
-/// where some place exceeds the cap.
-struct reachability_options {
-    std::size_t max_markings = 100000;
-    std::int64_t max_tokens_per_place = 1 << 20;
-    /// Soft ceiling on resident arena bytes; 0 = unlimited.  Non-zero backs
-    /// the marking arenas with an mmap'd spill file (exec::chunk_pager) and
-    /// evicts cold chunks, so exploration can outgrow RAM; the explored
-    /// graph is bit-identical at any spill ratio.
-    std::size_t max_bytes = 0;
-    /// Worker threads for exploration: 1 runs the sequential engine, any
-    /// other value the sharded parallel engine (0 = hardware concurrency).
-    /// Results are bit-identical either way.
-    std::size_t threads = 1;
-    /// Per-state partial-order reduction (pn/stubborn.hpp).  `stubborn`
-    /// explores a property-preserving fragment: with `strength = deadlock`
-    /// has-deadlock and the set of reachable dead markings match the full
-    /// graph (exactly, when neither run is truncated); with `strength =
-    /// ltl_x` transition liveness and stutter-invariant queries over
-    /// `observed_places` are preserved too.  The reachability *set* is
-    /// never preserved — keep `none` for is_reachable / shortest_path /
-    /// place_bounds-style queries.
-    reduction_kind reduction = reduction_kind::none;
-    /// Reduction strength (pn/stubborn.hpp); meaningful with `stubborn`.
-    reduction_strength strength = reduction_strength::deadlock;
-    /// Places the query observes (the ltl_x visibility set).
-    std::vector<place_id> observed_places{};
-    /// Parallel scheduling discipline (pn/parallel_explore.hpp); ignored by
-    /// the sequential engine.  Both orders publish bit-identical results.
-    exploration_order order = exploration_order::ordered;
-};
-
-/// One explored marking and its outgoing firings.
-struct reachability_node {
-    marking state;
-    /// (transition fired, index of successor node), ascending by transition.
-    std::vector<std::pair<transition_id, std::size_t>> successors;
-};
-
-/// The (partial) reachability graph from the initial marking.
-struct reachability_graph {
-    std::vector<reachability_node> nodes;
-    /// True when exploration stopped because a budget was hit; every
-    /// "for all reachable markings" verdict is then only valid for the
-    /// explored region.
-    bool truncated = false;
-
-    [[nodiscard]] std::size_t size() const noexcept { return nodes.size(); }
-};
-
-/// Breadth-first exploration from the net's initial marking.  Runs on the
-/// arena-interned state-space engine (pn/state_space.hpp) — sequential or
-/// sharded parallel per options.threads; the graph is materialized from the
-/// engine's compact representation at the end.
-[[nodiscard]] reachability_graph explore(const petri_net& net,
-                                         const reachability_options& options = {});
-
-/// The engine exploration behind explore(): dispatches on options.threads
-/// between explore_state_space() and explore_parallel() and returns the
-/// compact form directly.  Prefer this + the span-served queries below over
-/// explore() when the marking-object graph is not needed — it avoids the
-/// O(states x places) materialization copy entirely.
+/// Breadth-first exploration from the net's initial marking: the one
+/// exploration entry point.  Dispatches on options.threads between
+/// explore_state_space() and explore_parallel(); the result is the same
+/// either way.
 [[nodiscard]] state_space explore_space(const petri_net& net,
                                         const reachability_options& options = {});
 
-/// The pre-engine exploration: a naive BFS deduplicating through an
-/// unordered_map of marking objects.  Visits exactly the same states and
-/// edges as explore(), in the same order — kept as the reference for
-/// differential tests and for before/after rows in bench_scaling.
-[[nodiscard]] reachability_graph
-explore_reference(const petri_net& net, const reachability_options& options = {});
-
-/// A reachable dead marking, if exploration finds one (nullopt when the
-/// explored region is deadlock-free; see reachability_graph::truncated).
-[[nodiscard]] std::optional<marking> find_deadlock(const petri_net& net,
-                                                   const reachability_graph& graph);
-
-/// True when `target` appears in the explored region.
-[[nodiscard]] bool is_reachable(const reachability_graph& graph, const marking& target);
-
-/// A shortest firing sequence from the initial marking to `target`, or
-/// nullopt when not present in the explored region.
-[[nodiscard]] std::optional<firing_sequence>
-shortest_path_to(const petri_net& net, const reachability_graph& graph,
-                 const marking& target);
-
-/// Max token count per place over the explored region (bounds witness).
-[[nodiscard]] std::vector<std::int64_t> place_bounds(const reachability_graph& graph);
-
 // -- Span-served queries ----------------------------------------------------
 //
-// The overloads below answer the same questions straight from the compact
-// state_space: tokens are read as arena spans and lookups go through the
-// store's hash table, so nothing is ever materialized into marking objects.
-// Each is observationally identical to its reachability_graph counterpart
-// (pinned by tests/test_parallel_explore.cpp).
+// The queries below answer straight from the compact state_space: tokens
+// are read as arena spans and lookups go through the store's hash table,
+// so nothing is ever materialized into marking objects.  Each is
+// observationally identical to its linear-scan reachability_graph
+// counterpart over explore_reference() (pinned by
+// tests/test_parallel_explore.cpp).
 
 /// First deadlocked state in id order, if any (the marking is one
 /// space.marking_of() away).  States with outgoing edges are skipped
@@ -142,6 +61,54 @@ shortest_path_to(const petri_net& net, const state_space& space, const marking& 
 
 /// Max token count per place over the explored region (bounds witness).
 [[nodiscard]] std::vector<std::int64_t> place_bounds(const state_space& space);
+
+// -- The reference oracle -----------------------------------------------------
+
+/// One explored marking and its outgoing firings.
+struct reachability_node {
+    marking state;
+    /// (transition fired, index of successor node), ascending by transition.
+    std::vector<std::pair<transition_id, std::size_t>> successors;
+};
+
+/// The (partial) reachability graph from the initial marking, as marking
+/// objects.
+struct reachability_graph {
+    std::vector<reachability_node> nodes;
+    /// True when exploration stopped because a budget was hit; every
+    /// "for all reachable markings" verdict is then only valid for the
+    /// explored region.
+    bool truncated = false;
+
+    [[nodiscard]] std::size_t size() const noexcept { return nodes.size(); }
+};
+
+/// The pre-engine exploration: a naive BFS deduplicating through an
+/// unordered_map of marking objects (options.threads and the reduction are
+/// ignored).  Visits exactly the same states and edges as explore_space(),
+/// in the same order — kept as the oracle for differential tests and for
+/// before/after rows in bench_scaling.
+[[nodiscard]] reachability_graph
+explore_reference(const petri_net& net, const reachability_options& options = {});
+
+// Linear-scan queries over the oracle graph, the test counterparts of the
+// span-served queries above.
+
+/// A reachable dead marking, if the explored region has one.
+[[nodiscard]] std::optional<marking> find_deadlock(const petri_net& net,
+                                                   const reachability_graph& graph);
+
+/// True when `target` appears in the explored region.
+[[nodiscard]] bool is_reachable(const reachability_graph& graph, const marking& target);
+
+/// A shortest firing sequence from the initial marking to `target`, or
+/// nullopt when not present in the explored region.
+[[nodiscard]] std::optional<firing_sequence>
+shortest_path_to(const petri_net& net, const reachability_graph& graph,
+                 const marking& target);
+
+/// Max token count per place over the explored region (bounds witness).
+[[nodiscard]] std::vector<std::int64_t> place_bounds(const reachability_graph& graph);
 
 } // namespace fcqss::pn
 

@@ -14,31 +14,6 @@ namespace fcqss::pn {
 
 namespace detail {
 
-marking_store& space_access::store(state_space& space)
-{
-    return space.store_;
-}
-
-std::vector<state_space_edge>& space_access::edges(state_space& space)
-{
-    return space.edges_;
-}
-
-std::vector<std::size_t>& space_access::edge_offsets(state_space& space)
-{
-    return space.edge_offsets_;
-}
-
-bool& space_access::truncated(state_space& space)
-{
-    return space.truncated_;
-}
-
-bool& space_access::unordered_fallback(state_space& space)
-{
-    return space.unordered_fallback_;
-}
-
 void flush_store_obs(const marking_store& store)
 {
     if (!obs::stats_enabled()) {
@@ -51,8 +26,6 @@ void flush_store_obs(const marking_store& store)
     static obs::counter& resizes = obs::get_counter("pn.store.table_resizes");
     static obs::counter& arena = obs::get_counter("pn.store.arena_bytes", "bytes");
     static obs::counter& chunks = obs::get_counter("pn.store.chunks");
-    static obs::counter& decode_hits = obs::get_counter("pn.mem.decode_hits");
-    static obs::counter& decode_misses = obs::get_counter("pn.mem.decode_misses");
     const marking_store_stats& s = store.stats();
     probes.add(s.probes);
     hits.add(s.dedup_hits);
@@ -61,39 +34,6 @@ void flush_store_obs(const marking_store& store)
     resizes.add(s.resizes);
     arena.add(store.memory_bytes());
     chunks.add(store.chunk_count());
-    decode_hits.add(s.decode_hits);
-    decode_misses.add(s.decode_misses);
-}
-
-std::vector<delta_list> firing_deltas(const petri_net& net)
-{
-    std::vector<delta_list> deltas(net.transition_count());
-    for (transition_id t : net.transitions()) {
-        delta_list& list = deltas[t.index()];
-        for (const place_weight& in : net.inputs(t)) {
-            list.emplace_back(static_cast<std::uint32_t>(in.place.index()),
-                              -in.weight);
-        }
-        for (const place_weight& out : net.outputs(t)) {
-            list.emplace_back(static_cast<std::uint32_t>(out.place.index()),
-                              out.weight);
-        }
-        std::sort(list.begin(), list.end());
-        // Fold arcs touching the same place into one net delta; drop zeros.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < list.size();) {
-            std::int64_t sum = 0;
-            const std::uint32_t place = list[i].first;
-            for (; i < list.size() && list[i].first == place; ++i) {
-                sum += list[i].second;
-            }
-            if (sum != 0) {
-                list[kept++] = {place, sum};
-            }
-        }
-        list.resize(kept);
-    }
-    return deltas;
 }
 
 bool enabled_in(const petri_net& net, const std::int64_t* tokens, transition_id t)
@@ -165,7 +105,7 @@ void merge_enabled(const petri_net& net,
 // state per offending SCC per round and re-explores only the freshly
 // discovered states, never restarting from scratch.
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const state_space_options& options,
+                         state_space& space, const reachability_options& options,
                          exec::executor* pool)
 {
     obs::span pass_span("explore.nonignoring");
@@ -270,7 +210,7 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
             return;
         }
         const auto [to, inserted] =
-            store.intern(cand.tokens.data(), cand.hash, options.max_states);
+            store.intern(cand.tokens.data(), cand.hash, options.max_markings);
         if (to == invalid_state) {
             space.truncated_ = true;
             return;
@@ -450,7 +390,7 @@ marking state_space::marking_of(state_id s) const
     return marking(std::vector<std::int64_t>(span.begin(), span.end()));
 }
 
-state_space explore_state_space(const petri_net& net, const state_space_options& options)
+state_space explore_state_space(const petri_net& net, const reachability_options& options)
 {
     obs::span run_span("explore.seq");
     const std::size_t width = net.place_count();
@@ -466,13 +406,6 @@ state_space explore_state_space(const petri_net& net, const state_space_options&
             exec::chunk_pager_options{.max_resident_bytes = options.max_bytes});
     }
     result.store_ = marking_store(width, pager);
-
-    // With a pager, every inserted state records its (parent, firing delta)
-    // so equality probes against evicted rows can decode instead of fault.
-    std::vector<detail::delta_list> deltas;
-    if (pager != nullptr) {
-        deltas = detail::firing_deltas(net);
-    }
 
     // Progress counters are flushed as deltas every few thousand expansions
     // (and once at the end), so a concurrent snapshot() sees them grow
@@ -580,15 +513,12 @@ state_space explore_state_space(const petri_net& net, const state_space_options&
                 result.truncated_ = true;
             } else {
                 const auto [to, inserted] =
-                    result.store_.intern(scratch.data(), next_hash, options.max_states);
+                    result.store_.intern(scratch.data(), next_hash, options.max_markings);
                 if (to == invalid_state) {
                     result.truncated_ = true;
                 } else {
                     result.edges_.push_back({t, to});
                     if (inserted) {
-                        if (pager != nullptr) {
-                            result.store_.record_parent(to, s, deltas[t.index()]);
-                        }
                         // Incremental enabled set of the successor: statuses
                         // carry over except for the consumers of touched
                         // places, which are re-checked against scratch.

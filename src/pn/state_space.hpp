@@ -26,28 +26,40 @@ class executor;
 
 namespace fcqss::pn {
 
-struct parallel_explore_options;
 struct state_space_edge;
 class state_space;
 
-/// Budgets for explicit exploration, mirroring reachability_options.
-struct state_space_options {
-    std::size_t max_states = 100000;
+/// Limits and reduction for explicit exploration: the one option struct
+/// behind explore_space() and both engines.
+struct reachability_options {
+    /// Bound on the state count.
+    std::size_t max_markings = 100000;
+    /// Successors where some place exceeds this cap are dropped (the space
+    /// is then truncated): the guard against unbounded nets.
     std::int64_t max_tokens_per_place = 1 << 20;
     /// Soft ceiling on resident arena bytes; 0 = unlimited (heap arena).
-    /// Non-zero routes arena chunks through an exec::chunk_pager backed by
-    /// an mmap'd spill file, evicting cold chunks past the budget.  The
-    /// explored graph is bit-identical either way — only residency changes.
+    /// Non-zero backs the marking arenas with an mmap'd spill file
+    /// (exec::chunk_pager) and evicts cold chunks past the budget, so
+    /// exploration can outgrow RAM; the explored graph is bit-identical at
+    /// any spill ratio.
     std::size_t max_bytes = 0;
+    /// Worker threads: explore_space() runs the sequential engine at 1 and
+    /// the sharded parallel engine otherwise (0 = hardware concurrency).
+    /// Results are bit-identical either way.
+    std::size_t threads = 1;
     /// Per-state partial-order reduction (pn/stubborn.hpp).  `stubborn`
-    /// preserves deadlock verdicts and the set of reachable dead markings,
-    /// not the full reachability set.
+    /// explores a property-preserving fragment: with `strength = deadlock`
+    /// has-deadlock and the set of reachable dead markings match the full
+    /// graph (exactly, when neither run is truncated); with `strength =
+    /// ltl_x` transition liveness and stutter-invariant queries over
+    /// `observed_places` are preserved too.  The reachability *set* is
+    /// never preserved — keep `none` for is_reachable / shortest_path /
+    /// place_bounds-style queries.
     reduction_kind reduction = reduction_kind::none;
     /// How much the stubborn reduction preserves (pn/stubborn.hpp):
     /// `deadlock` applies D1/D2 only; `ltl_x` adds the visibility
     /// conditions over `observed_places` and the SCC-local "no transition
-    /// ignored forever" post-pass, so transition liveness and
-    /// stutter-invariant queries stay exact on the reduced graph.
+    /// ignored forever" post-pass.
     reduction_strength strength = reduction_strength::deadlock;
     /// Places the query observes (the ltl_x visibility set — see
     /// stubborn_options::observed_places).  Empty is right for deadlock and
@@ -57,16 +69,6 @@ struct state_space_options {
 };
 
 namespace detail {
-
-/// (place, token delta) of one firing, ascending by place; places whose
-/// count does not change are omitted.
-using delta_list = std::vector<std::pair<std::uint32_t, std::int64_t>>;
-
-/// Per-transition sparse firing deltas, indexed by transition index.  Both
-/// engines use these for O(|arcs|) successor construction, and the
-/// sequential engine forwards them to marking_store::record_parent so cold
-/// rows can be decoded instead of faulted back in.
-[[nodiscard]] std::vector<delta_list> firing_deltas(const petri_net& net);
 
 /// True when `tokens` (length |P|) enables t.
 [[nodiscard]] bool enabled_in(const petri_net& net, const std::int64_t* tokens,
@@ -105,7 +107,7 @@ void merge_enabled(const petri_net& net, const std::vector<transition_id>& paren
 /// the exact order the inline path interns in — so the result is
 /// bit-identical with or without the pool at any thread count.
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const state_space_options& options,
+                         state_space& space, const reachability_options& options,
                          exec::executor* pool = nullptr);
 
 /// Adds one store's dedup-work tallies (probes, dedup hits, inserts, budget
@@ -114,16 +116,6 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
 /// this once per store at the end of a run — the stores themselves count
 /// with plain members so the hot probe loop never touches an atomic.
 void flush_store_obs(const marking_store& store);
-
-/// Private-member access for the exploration engines in parallel_explore.cpp
-/// (which live in an anonymous namespace and so cannot be friends by name).
-struct space_access {
-    [[nodiscard]] static marking_store& store(state_space& space);
-    [[nodiscard]] static std::vector<state_space_edge>& edges(state_space& space);
-    [[nodiscard]] static std::vector<std::size_t>& edge_offsets(state_space& space);
-    [[nodiscard]] static bool& truncated(state_space& space);
-    [[nodiscard]] static bool& unordered_fallback(state_space& space);
-};
 
 } // namespace detail
 
@@ -146,16 +138,6 @@ public:
     /// True when a budget stopped exploration; "for all reachable markings"
     /// verdicts then only hold for the explored region.
     [[nodiscard]] bool truncated() const noexcept { return truncated_; }
-    /// True when an unordered run hit a binding state budget and re-ran
-    /// level-synchronously (the kept prefix of a free run is
-    /// order-dependent, so truncation semantics belong to the leveled
-    /// engine).  The result is still exact-truncation correct; this flag
-    /// only records that the requested exploration order was not used.
-    [[nodiscard]] bool unordered_fallback() const noexcept
-    {
-        return unordered_fallback_;
-    }
-
     /// Token counts of state s (a stable span into the arena).
     [[nodiscard]] std::span<const std::int64_t> tokens(state_id s) const noexcept
     {
@@ -173,29 +155,28 @@ public:
 
 private:
     friend state_space explore_state_space(const petri_net& net,
-                                           const state_space_options& options);
+                                           const reachability_options& options);
     friend state_space explore_parallel(const petri_net& net,
-                                        const parallel_explore_options& options);
+                                        const reachability_options& options);
     friend void detail::enforce_nonignoring(const petri_net& net,
                                             const stubborn_reduction& reduction,
                                             state_space& space,
-                                            const state_space_options& options,
+                                            const reachability_options& options,
                                             exec::executor* pool);
-    friend struct detail::space_access;
 
     marking_store store_{0};
     std::vector<state_space_edge> edges_;
     /// size state_count()+1; successors of s are edges_[offsets[s]..offsets[s+1]).
     std::vector<std::size_t> edge_offsets_;
     bool truncated_ = false;
-    bool unordered_fallback_ = false;
 };
 
-/// Breadth-first exploration from the net's initial marking.  Visits exactly
-/// the states and edges of the naive reference exploration (reachability.cpp
+/// Breadth-first exploration from the net's initial marking on the
+/// sequential engine (options.threads is ignored).  Visits exactly the
+/// states and edges of the naive reference exploration (reachability.cpp
 /// explore_reference), in the same order.
 [[nodiscard]] state_space explore_state_space(const petri_net& net,
-                                              const state_space_options& options = {});
+                                              const reachability_options& options = {});
 
 /// A reusable token-game runner over a dense token vector: one allocation
 /// per game, checked enabling, unchecked firing (pn::fire_unchecked).  The

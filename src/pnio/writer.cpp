@@ -15,7 +15,9 @@ std::string write_net(const pn::petri_net& net)
     for (pn::place_id p : net.places()) {
         out += "    " + net.place_name(p);
         if (net.initial_tokens(p) != 0) {
-            out += "(" + std::to_string(net.initial_tokens(p)) + ")";
+            out += '(';
+            out += std::to_string(net.initial_tokens(p));
+            out += ')';
         }
         out += ";\n";
     }

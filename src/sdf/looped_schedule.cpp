@@ -233,11 +233,16 @@ void render(const sdf_graph& graph, const std::vector<schedule_node>& nodes,
             if (node.count == 1) {
                 out += graph.actor_name(node.actor);
             } else {
-                out += "(" + std::to_string(node.count) + " " +
-                       graph.actor_name(node.actor) + ")";
+                out += '(';
+                out += std::to_string(node.count);
+                out += ' ';
+                out += graph.actor_name(node.actor);
+                out += ')';
             }
         } else {
-            out += "(" + std::to_string(node.count) + " ";
+            out += '(';
+            out += std::to_string(node.count);
+            out += ' ';
             render(graph, node.body, out);
             out += ")";
         }

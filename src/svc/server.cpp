@@ -12,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -220,6 +221,10 @@ int serve_tcp(pipeline::service& service, unsigned short port,
             ::close(conn);
             continue;
         }
+        // Every reply is one small line; under Nagle a `done` line would wait
+        // for the ACK that rides on the client's next request.
+        const int no_delay = 1;
+        ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof no_delay);
         connections.emplace_back([&service, &stopping, listener, conn,
                                   tcp_options] {
             line_writer writer(conn);

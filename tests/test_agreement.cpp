@@ -27,8 +27,8 @@ pn::petri_net token_ring(int stages, int tokens)
     std::vector<pn::place_id> places;
     std::vector<pn::transition_id> transitions;
     for (int i = 0; i < stages; ++i) {
-        places.push_back(b.add_place("p" + std::to_string(i), i == 0 ? tokens : 0));
-        transitions.push_back(b.add_transition("t" + std::to_string(i)));
+        places.push_back(b.add_place(testutil::numbered("p", i), i == 0 ? tokens : 0));
+        transitions.push_back(b.add_transition(testutil::numbered("t", i)));
     }
     for (int i = 0; i < stages; ++i) {
         b.add_arc(places[static_cast<std::size_t>(i)],
@@ -50,11 +50,11 @@ TEST_P(ring_sizes, karp_miller_agrees_with_reachability)
     ASSERT_FALSE(tree.truncated);
     EXPECT_TRUE(pn::is_bounded(tree));
 
-    const pn::reachability_graph graph = pn::explore(net);
-    ASSERT_FALSE(graph.truncated);
+    const pn::state_space space = pn::explore_space(net);
+    ASSERT_FALSE(space.truncated());
 
     // The coverability tree's k-bound agrees with the explicit max.
-    const auto bounds = pn::place_bounds(graph);
+    const auto bounds = pn::place_bounds(space);
     std::int64_t max_tokens = 0;
     for (std::int64_t tks : bounds) {
         max_tokens = std::max(max_tokens, tks);
@@ -72,8 +72,7 @@ TEST_P(ring_sizes, structural_bounds_hold_on_reachable_markings)
     const auto structural = pn::structural_place_bounds(net);
     EXPECT_TRUE(pn::is_structurally_bounded(net));
 
-    const pn::reachability_graph graph = pn::explore(net);
-    const auto observed = pn::place_bounds(graph);
+    const auto observed = pn::place_bounds(pn::explore_space(net));
     for (std::size_t p = 0; p < observed.size(); ++p) {
         ASSERT_TRUE(structural[p].has_value());
         EXPECT_GE(*structural[p], observed[p]);
@@ -162,8 +161,7 @@ TEST(agreement, qss_schedulable_nets_bounded_under_their_schedules)
 TEST(agreement, deadlock_freedom_matches_enabledness_scan)
 {
     const pn::petri_net net = token_ring(3, 1);
-    const pn::reachability_graph graph = pn::explore(net);
-    EXPECT_EQ(pn::find_deadlock(net, graph), std::nullopt);
+    EXPECT_EQ(pn::find_deadlock(net, pn::explore_space(net)), std::nullopt);
     EXPECT_EQ(pn::check_deadlock_free(net), pn::verdict::yes);
 }
 

@@ -18,6 +18,7 @@
 #include "pn/coverability.hpp"
 #include "pn/marking.hpp"
 #include "pn/reachability.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::pn {
 namespace {
@@ -89,9 +90,9 @@ TEST(coverability, dedup_collapses_symmetric_interleavings)
     constexpr int k = 6;
     net_builder b("toggles");
     for (int i = 0; i < k; ++i) {
-        const auto p = b.add_place("p" + std::to_string(i), 1);
-        const auto q = b.add_place("q" + std::to_string(i));
-        const auto t = b.add_transition("t" + std::to_string(i));
+        const auto p = b.add_place(testutil::numbered("p", i), 1);
+        const auto q = b.add_place(testutil::numbered("q", i));
+        const auto t = b.add_transition(testutil::numbered("t", i));
         b.add_arc(p, t);
         b.add_arc(t, q);
     }

@@ -232,6 +232,21 @@ TEST_F(obs_counters, metrics_jsonl_uses_bench_row_schema)
     }
 }
 
+TEST_F(obs_counters, metrics_jsonl_prints_gauges_exactly)
+{
+    // A byte-sized gauge must not round to six significant digits
+    // (9.90216e+08); fractional gauges keep every digit that round-trips.
+    set_stats_enabled(true);
+    get_gauge("test.jsonl.peak_bytes", "bytes").set(990216192.0);
+    get_gauge("test.jsonl.ratio", "ratio").set(0.1234567891);
+    const std::string jsonl = metrics_jsonl("obs");
+    EXPECT_NE(jsonl.find("\"label\":\"test.jsonl.peak_bytes\",\"unit\":\"bytes\","
+                         "\"value\":\"990216192\"}"),
+              std::string::npos)
+        << jsonl;
+    EXPECT_NE(jsonl.find("\"value\":\"0.1234567891\"}"), std::string::npos) << jsonl;
+}
+
 TEST_F(obs_spans, one_event_per_span_nothing_dropped)
 {
     set_tracing_enabled(true);

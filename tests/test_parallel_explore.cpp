@@ -5,13 +5,13 @@
 // generator families with defects and token load — including under tight
 // state and token budgets, where truncation behaviour must also agree —
 // plus equivalence tests pinning the span-served find_deadlock /
-// shortest_path_to / is_reachable / place_bounds against the old
-// materializing versions.  The whole file runs under the ThreadSanitizer CI
-// job, so the differential sweeps double as a data-race net.
+// shortest_path_to / is_reachable / place_bounds over explore_space()
+// against the linear-scan queries over explore_reference().  The whole file
+// runs under the ThreadSanitizer CI job, so the differential sweeps double
+// as a data-race net.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "nets/paper_nets.hpp"
@@ -46,43 +46,22 @@ void expect_identical_spaces(const state_space& expected, const state_space& act
     }
 }
 
-/// The weaker, id-free guarantee stated in the issue: identical marking
-/// *set* and edge *multiset*.  Ids already match bit-for-bit above; this
-/// pins the set-level agreement independently of any numbering convention.
-void expect_same_sets(const state_space& a, const state_space& b)
+/// Engine result vs the naive reference BFS: same markings in id order,
+/// same edges, same truncation verdict.
+void expect_matches_reference(const state_space& space,
+                              const reachability_graph& reference)
 {
-    using tokens_vec = std::vector<std::int64_t>;
-    const auto marking_set = [](const state_space& space) {
-        std::set<tokens_vec> out;
-        for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-            const auto span = space.tokens(s);
-            out.insert(tokens_vec(span.begin(), span.end()));
+    ASSERT_EQ(space.state_count(), reference.size());
+    EXPECT_EQ(space.truncated(), reference.truncated);
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        const auto s = static_cast<state_id>(i);
+        ASSERT_EQ(space.marking_of(s), reference.nodes[i].state) << "state " << i;
+        const auto edges = space.successors(s);
+        ASSERT_EQ(edges.size(), reference.nodes[i].successors.size()) << "state " << i;
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+            EXPECT_EQ(edges[e].via, reference.nodes[i].successors[e].first);
+            EXPECT_EQ(std::size_t{edges[e].to}, reference.nodes[i].successors[e].second);
         }
-        return out;
-    };
-    const auto edge_multiset = [](const state_space& space) {
-        std::multiset<std::tuple<tokens_vec, std::int32_t, tokens_vec>> out;
-        for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-            const auto from = space.tokens(s);
-            for (const state_space_edge& edge : space.successors(s)) {
-                const auto to = space.tokens(edge.to);
-                out.insert({tokens_vec(from.begin(), from.end()), edge.via.value(),
-                            tokens_vec(to.begin(), to.end())});
-            }
-        }
-        return out;
-    };
-    EXPECT_EQ(marking_set(a), marking_set(b));
-    EXPECT_EQ(edge_multiset(a), edge_multiset(b));
-}
-
-void expect_same_graph(const reachability_graph& engine, const reachability_graph& naive)
-{
-    ASSERT_EQ(engine.size(), naive.size());
-    EXPECT_EQ(engine.truncated, naive.truncated);
-    for (std::size_t i = 0; i < naive.nodes.size(); ++i) {
-        ASSERT_EQ(engine.nodes[i].state, naive.nodes[i].state) << "node " << i;
-        ASSERT_EQ(engine.nodes[i].successors, naive.nodes[i].successors) << "node " << i;
     }
 }
 
@@ -104,21 +83,16 @@ TEST(parallel_explore, differential_on_generated_nets_all_families)
             const petri_net net = generator.next();
             SCOPED_TRACE(std::string("family ") + pipeline::to_string(family) +
                          " net " + std::to_string(i));
-            const state_space_options budget{.max_states = 1500,
-                                             .max_tokens_per_place = 64};
+            reachability_options budget{.max_markings = 1500,
+                                        .max_tokens_per_place = 64};
             const state_space sequential = explore_state_space(net, budget);
             for (const std::size_t threads : thread_counts) {
                 SCOPED_TRACE("threads " + std::to_string(threads));
-                const state_space parallel = explore_parallel(
-                    net, {.threads = threads, .max_states = budget.max_states,
-                          .max_tokens_per_place = budget.max_tokens_per_place});
-                expect_identical_spaces(sequential, parallel);
+                budget.threads = threads;
+                expect_identical_spaces(sequential, explore_parallel(net, budget));
             }
             // Anchor the chain all the way down to the naive reference BFS.
-            const reachability_options graph_budget{.max_markings = 1500,
-                                                    .max_tokens_per_place = 64};
-            expect_same_graph(explore(net, graph_budget),
-                              explore_reference(net, graph_budget));
+            expect_matches_reference(sequential, explore_reference(net, budget));
         }
     }
 }
@@ -139,12 +113,12 @@ TEST(parallel_explore, differential_under_tight_state_budget)
                                          std::size_t{25}, std::size_t{200}}) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
-            net, {.max_states = max_states, .max_tokens_per_place = 64});
+            net, {.max_markings = max_states, .max_tokens_per_place = 64});
         for (const std::size_t threads : thread_counts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const state_space parallel =
-                explore_parallel(net, {.threads = threads, .max_states = max_states,
-                                       .max_tokens_per_place = 64});
+                explore_parallel(net, {.max_markings = max_states,
+                                       .max_tokens_per_place = 64, .threads = threads});
             expect_identical_spaces(sequential, parallel);
         }
     }
@@ -161,30 +135,12 @@ TEST(parallel_explore, differential_under_tight_token_cap)
     const petri_net net = generator.next();
 
     const state_space sequential =
-        explore_state_space(net, {.max_states = 5000, .max_tokens_per_place = 2});
+        explore_state_space(net, {.max_markings = 5000, .max_tokens_per_place = 2});
     EXPECT_TRUE(sequential.truncated()); // sources pump past any cap
     for (const std::size_t threads : thread_counts) {
         const state_space parallel = explore_parallel(
-            net, {.threads = threads, .max_states = 5000, .max_tokens_per_place = 2});
+            net, {.max_markings = 5000, .max_tokens_per_place = 2, .threads = threads});
         expect_identical_spaces(sequential, parallel);
-    }
-}
-
-TEST(parallel_explore, shard_count_does_not_change_the_result)
-{
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::free_choice;
-    options.token_load = 2;
-    pipeline::net_generator generator(31, options);
-    const petri_net net = generator.next();
-
-    const state_space sequential = explore_state_space(net, {.max_states = 2000});
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        const state_space parallel =
-            explore_parallel(net, {.threads = 4, .shards = shards, .max_states = 2000});
-        expect_identical_spaces(sequential, parallel);
-        expect_same_sets(sequential, parallel);
     }
 }
 
@@ -193,53 +149,22 @@ TEST(parallel_explore, differential_on_paper_nets)
     for (const auto& build : {nets::figure_1a, nets::figure_2, nets::figure_4}) {
         const petri_net net = build();
         const state_space sequential =
-            explore_state_space(net, {.max_states = 5000,
+            explore_state_space(net, {.max_markings = 5000,
                                       .max_tokens_per_place = 1 << 10});
         for (const std::size_t threads : thread_counts) {
             const state_space parallel = explore_parallel(
-                net, {.threads = threads, .max_states = 5000,
-                      .max_tokens_per_place = 1 << 10});
+                net, {.max_markings = 5000, .max_tokens_per_place = 1 << 10,
+                      .threads = threads});
             expect_identical_spaces(sequential, parallel);
         }
     }
 }
 
-TEST(parallel_explore, unordered_differential_on_generated_nets)
+TEST(parallel_explore, differential_under_reduction)
 {
-    for (const pipeline::net_family family :
-         {pipeline::net_family::marked_graph, pipeline::net_family::free_choice,
-          pipeline::net_family::choice_heavy}) {
-        pipeline::generator_options options;
-        options.family = family;
-        options.sources = 3;
-        options.depth = 5;
-        options.token_load = 2;
-        options.defect_percent = 50;
-        pipeline::net_generator generator(17, options);
-        for (int i = 0; i < 4; ++i) {
-            const petri_net net = generator.next();
-            SCOPED_TRACE(std::string("family ") + pipeline::to_string(family) +
-                         " net " + std::to_string(i));
-            const state_space_options budget{.max_states = 1500,
-                                             .max_tokens_per_place = 64};
-            const state_space sequential = explore_state_space(net, budget);
-            for (const std::size_t threads : thread_counts) {
-                SCOPED_TRACE("threads " + std::to_string(threads));
-                const state_space unordered = explore_parallel(
-                    net, {.threads = threads, .max_states = budget.max_states,
-                          .max_tokens_per_place = budget.max_tokens_per_place,
-                          .order = exploration_order::unordered});
-                expect_identical_spaces(sequential, unordered);
-            }
-        }
-    }
-}
-
-TEST(parallel_explore, unordered_differential_under_reduction)
-{
-    // Both strengths: deadlock exercises the plain stubborn subset in the
-    // free run, ltl_x additionally routes enforce_nonignoring (with the
-    // executor doing candidate generation) over the renumbered graph.
+    // Both strengths: deadlock exercises the plain stubborn subset in phase
+    // A, ltl_x additionally routes enforce_nonignoring (with the executor
+    // doing candidate generation) over the leveled graph.
     pipeline::generator_options options;
     options.family = pipeline::net_family::choice_heavy;
     options.sources = 3;
@@ -253,62 +178,17 @@ TEST(parallel_explore, unordered_differential_under_reduction)
              {reduction_strength::deadlock, reduction_strength::ltl_x}) {
             SCOPED_TRACE(strength == reduction_strength::ltl_x ? "ltl_x"
                                                                : "deadlock");
-            const state_space sequential = explore_state_space(
-                net, {.max_states = 2000, .max_tokens_per_place = 64,
-                      .reduction = reduction_kind::stubborn, .strength = strength});
+            reachability_options budget{.max_markings = 2000,
+                                        .max_tokens_per_place = 64,
+                                        .reduction = reduction_kind::stubborn,
+                                        .strength = strength};
+            const state_space sequential = explore_state_space(net, budget);
             for (const std::size_t threads : thread_counts) {
                 SCOPED_TRACE("threads " + std::to_string(threads));
-                const state_space unordered = explore_parallel(
-                    net, {.threads = threads, .max_states = 2000,
-                          .max_tokens_per_place = 64,
-                          .reduction = reduction_kind::stubborn,
-                          .strength = strength,
-                          .order = exploration_order::unordered});
-                expect_identical_spaces(sequential, unordered);
+                budget.threads = threads;
+                expect_identical_spaces(sequential, explore_parallel(net, budget));
             }
         }
-    }
-}
-
-TEST(parallel_explore, unordered_shard_count_does_not_change_the_result)
-{
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::free_choice;
-    options.token_load = 2;
-    pipeline::net_generator generator(31, options);
-    const petri_net net = generator.next();
-
-    const state_space sequential = explore_state_space(net, {.max_states = 2000});
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        const state_space unordered = explore_parallel(
-            net, {.threads = 4, .shards = shards, .max_states = 2000,
-                  .order = exploration_order::unordered});
-        expect_identical_spaces(sequential, unordered);
-        expect_same_sets(sequential, unordered);
-    }
-}
-
-TEST(parallel_explore, unordered_differential_under_tight_token_cap)
-{
-    // Token-cap drops are per-candidate deterministic, so the unordered run
-    // must keep them without falling back to the leveled engine.
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::choice_heavy;
-    options.sources = 2;
-    options.depth = 4;
-    options.token_load = 1;
-    pipeline::net_generator generator(29, options);
-    const petri_net net = generator.next();
-
-    const state_space sequential =
-        explore_state_space(net, {.max_states = 5000, .max_tokens_per_place = 2});
-    EXPECT_TRUE(sequential.truncated());
-    for (const std::size_t threads : thread_counts) {
-        const state_space unordered = explore_parallel(
-            net, {.threads = threads, .max_states = 5000, .max_tokens_per_place = 2,
-                  .order = exploration_order::unordered});
-        expect_identical_spaces(sequential, unordered);
     }
 }
 
@@ -317,7 +197,7 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
     // The budget-crossing regression pin: sweep the state budget through
     // every value up to past the full reachable size, so many sweeps land
     // mid-level — where the kept set must still be exactly the sequential
-    // prefix whatever the thread/shard count, in both scheduling orders.
+    // prefix whatever the thread count.
     pipeline::generator_options options;
     options.family = pipeline::net_family::choice_heavy;
     options.sources = 2;
@@ -328,7 +208,7 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
     const petri_net net = generator.next();
 
     const state_space full =
-        explore_state_space(net, {.max_states = 4000, .max_tokens_per_place = 4});
+        explore_state_space(net, {.max_markings = 4000, .max_tokens_per_place = 4});
     const std::size_t reachable = full.state_count();
     ASSERT_LT(reachable, std::size_t{4000});
     ASSERT_GT(reachable, std::size_t{20});
@@ -336,42 +216,18 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
     for (std::size_t max_states = 1; max_states <= reachable + 2; ++max_states) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
-            net, {.max_states = max_states, .max_tokens_per_place = 4});
+            net, {.max_markings = max_states, .max_tokens_per_place = 4});
         // Kept set == sequential prefix of the full run, by construction of
         // the sequential engine; pin it explicitly so the differential
         // checks below inherit the meaning.
         ASSERT_EQ(sequential.state_count(), std::min(max_states, reachable));
-        for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-            for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-                SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
-                             std::to_string(shards));
-                const state_space ordered = explore_parallel(
-                    net, {.threads = threads, .shards = shards,
-                          .max_states = max_states, .max_tokens_per_place = 4});
-                expect_identical_spaces(sequential, ordered);
-                const state_space unordered = explore_parallel(
-                    net, {.threads = threads, .shards = shards,
-                          .max_states = max_states, .max_tokens_per_place = 4,
-                          .order = exploration_order::unordered});
-                expect_identical_spaces(sequential, unordered);
-            }
-        }
-    }
-}
-
-TEST(parallel_explore, unordered_differential_on_paper_nets)
-{
-    for (const auto& build : {nets::figure_1a, nets::figure_2, nets::figure_4}) {
-        const petri_net net = build();
-        const state_space sequential =
-            explore_state_space(net, {.max_states = 5000,
-                                      .max_tokens_per_place = 1 << 10});
-        for (const std::size_t threads : thread_counts) {
-            const state_space unordered = explore_parallel(
-                net, {.threads = threads, .max_states = 5000,
-                      .max_tokens_per_place = 1 << 10,
-                      .order = exploration_order::unordered});
-            expect_identical_spaces(sequential, unordered);
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            const state_space parallel = explore_parallel(
+                net, {.max_markings = max_states, .max_tokens_per_place = 4,
+                      .threads = threads});
+            expect_identical_spaces(sequential, parallel);
         }
     }
 }
@@ -387,10 +243,12 @@ TEST(parallel_explore, explore_dispatches_on_thread_count)
     reachability_options sequential{.max_markings = 1000, .max_tokens_per_place = 64};
     reachability_options parallel = sequential;
     parallel.threads = 4;
-    expect_same_graph(explore(net, parallel), explore(net, sequential));
+    const state_space space = explore_space(net, sequential);
+    expect_identical_spaces(space, explore_space(net, parallel));
+    expect_matches_reference(space, explore_reference(net, sequential));
 }
 
-// -- Span-served queries vs the materializing versions ----------------------
+// -- Span-served queries vs the linear scans over the reference graph --------
 
 /// A linear chain that genuinely deadlocks: p0 -> t0 -> p1 -> t1 -> p2 with
 /// no consumer of p2 (and no source transitions).
@@ -409,10 +267,10 @@ petri_net dead_end_chain()
     return std::move(b).build();
 }
 
-TEST(span_queries, find_deadlock_matches_materializing_version)
+TEST(span_queries, find_deadlock_matches_reference)
 {
     // One deadlocking net, one live net, and generated nets with sources
-    // (never dead) — verdicts must match the graph version on all of them.
+    // (never dead) — verdicts must match the reference scan on all of them.
     std::vector<petri_net> nets;
     nets.push_back(dead_end_chain());
     nets.push_back(nets::figure_2());
@@ -423,7 +281,7 @@ TEST(span_queries, find_deadlock_matches_materializing_version)
         SCOPED_TRACE(net.name());
         const reachability_options budget{.max_markings = 2000,
                                           .max_tokens_per_place = 64};
-        const reachability_graph graph = explore(net, budget);
+        const reachability_graph graph = explore_reference(net, budget);
         const state_space space = explore_space(net, budget);
 
         const std::optional<marking> old_verdict = find_deadlock(net, graph);
@@ -446,14 +304,14 @@ TEST(span_queries, truncation_does_not_fake_deadlocks)
     const state_space space = explore_space(net, budget);
     EXPECT_TRUE(space.truncated());
     EXPECT_EQ(find_deadlock(net, space), std::nullopt);
-    EXPECT_EQ(find_deadlock(net, explore(net, budget)), std::nullopt);
+    EXPECT_EQ(find_deadlock(net, explore_reference(net, budget)), std::nullopt);
 }
 
 TEST(span_queries, shortest_path_and_reachability_match)
 {
     const petri_net net = dead_end_chain();
     const reachability_options budget{.max_markings = 100};
-    const reachability_graph graph = explore(net, budget);
+    const reachability_graph graph = explore_reference(net, budget);
     const state_space space = explore_space(net, budget);
     ASSERT_EQ(graph.size(), space.state_count());
 
@@ -483,7 +341,7 @@ TEST(span_queries, shortest_path_matches_on_generated_nets)
     const petri_net net = generator.next();
     const reachability_options budget{.max_markings = 800,
                                       .max_tokens_per_place = 64};
-    const reachability_graph graph = explore(net, budget);
+    const reachability_graph graph = explore_reference(net, budget);
     const state_space space = explore_space(net, budget);
     ASSERT_EQ(graph.size(), space.state_count());
 
@@ -507,7 +365,7 @@ TEST(span_queries, place_bounds_match)
         const reachability_options budget{.max_markings = 500,
                                           .max_tokens_per_place = 32};
         EXPECT_EQ(place_bounds(explore_space(net, budget)),
-                  place_bounds(explore(net, budget)));
+                  place_bounds(explore_reference(net, budget)));
     }
 }
 

@@ -91,20 +91,20 @@ TEST(invariants, uncovered_transitions)
 TEST(reachability, ring_exploration)
 {
     const petri_net net = token_ring();
-    const reachability_graph graph = explore(net);
-    EXPECT_FALSE(graph.truncated);
-    EXPECT_EQ(graph.size(), 2u); // token in p1 / token in p2
-    EXPECT_FALSE(find_deadlock(net, graph).has_value());
+    const state_space space = explore_space(net);
+    EXPECT_FALSE(space.truncated());
+    EXPECT_EQ(space.state_count(), 2u); // token in p1 / token in p2
+    EXPECT_FALSE(find_deadlock(net, space).has_value());
 
     marking target(2);
     target.set_tokens(net.find_place("p2"), 1);
-    EXPECT_TRUE(is_reachable(graph, target));
-    const auto path = shortest_path_to(net, graph, target);
+    EXPECT_TRUE(is_reachable(space, target));
+    const auto path = shortest_path_to(net, space, target);
     ASSERT_TRUE(path.has_value());
     ASSERT_EQ(path->size(), 1u);
     EXPECT_EQ(net.transition_name(path->front()), "a");
 
-    EXPECT_EQ(place_bounds(graph), (std::vector<std::int64_t>{1, 1}));
+    EXPECT_EQ(place_bounds(space), (std::vector<std::int64_t>{1, 1}));
 }
 
 TEST(reachability, detects_deadlock)
@@ -116,10 +116,10 @@ TEST(reachability, detects_deadlock)
     b.add_arc(p, t);
     b.add_arc(t, q);
     const petri_net net = std::move(b).build();
-    const reachability_graph graph = explore(net);
-    const auto dead = find_deadlock(net, graph);
+    const state_space space = explore_space(net);
+    const auto dead = find_deadlock(net, space);
     ASSERT_TRUE(dead.has_value());
-    EXPECT_EQ(dead->tokens(net.find_place("q")), 1);
+    EXPECT_EQ(space.marking_of(*dead).tokens(net.find_place("q")), 1);
 }
 
 TEST(reachability, truncation_budget)
@@ -129,9 +129,9 @@ TEST(reachability, truncation_budget)
     const petri_net net = nets::figure_2();
     reachability_options options;
     options.max_markings = 50;
-    const reachability_graph graph = explore(net, options);
-    EXPECT_TRUE(graph.truncated);
-    EXPECT_LE(graph.size(), 50u);
+    const state_space space = explore_space(net, options);
+    EXPECT_TRUE(space.truncated());
+    EXPECT_LE(space.state_count(), 50u);
 }
 
 TEST(coverability, bounded_ring)

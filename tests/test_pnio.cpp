@@ -313,7 +313,9 @@ TEST(limits, token_flood_is_bounded)
     limits.max_tokens = 100;
     std::string flood = "net x { places { ";
     for (int i = 0; i < 200; ++i) {
-        flood += "p" + std::to_string(i) + "; ";
+        flood += 'p';
+        flood += std::to_string(i);
+        flood += "; ";
     }
     flood += "} }";
     EXPECT_THROW((void)parse_net(flood, limits), resource_limit_error);
@@ -324,18 +326,26 @@ TEST(limits, element_counts_are_bounded)
     const auto net_with = [](int places, int transitions, int arcs) {
         std::string text = "net x {\n  places { ";
         for (int i = 0; i < places; ++i) {
-            text += "p" + std::to_string(i) + "; ";
+            text += 'p';
+            text += std::to_string(i);
+            text += "; ";
         }
         text += "}\n  transitions { ";
         for (int i = 0; i < transitions; ++i) {
-            text += "t" + std::to_string(i) + "; ";
+            text += 't';
+            text += std::to_string(i);
+            text += "; ";
         }
         text += "}\n  arcs { ";
         for (int i = 0; i < arcs; ++i) {
             // distinct arcs, so the limit trips before any duplicate check
-            text += "p" + std::to_string(i % places) + " -> t" +
-                    std::to_string(i % transitions) + " * " +
-                    std::to_string(i + 1) + "; ";
+            text += 'p';
+            text += std::to_string(i % places);
+            text += " -> t";
+            text += std::to_string(i % transitions);
+            text += " * ";
+            text += std::to_string(i + 1);
+            text += "; ";
         }
         text += "}\n}\n";
         return text;

@@ -10,6 +10,7 @@
 #include "sdf/repetition.hpp"
 #include "sdf/sdf_graph.hpp"
 #include "sdf/static_schedule.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::sdf {
 namespace {
@@ -209,7 +210,7 @@ TEST_P(sdf_property, period_restores_and_is_minimal)
     sdf_graph g("chain");
     const int actors = 3 + static_cast<int>(rnd(4));
     for (int i = 0; i < actors; ++i) {
-        (void)g.add_actor("a" + std::to_string(i));
+        (void)g.add_actor(testutil::numbered("a", i));
     }
     for (int i = 0; i + 1 < actors; ++i) {
         g.add_channel(static_cast<actor_id>(i), static_cast<actor_id>(i + 1),

@@ -22,6 +22,7 @@
 #include "pnio/parser.hpp"
 #include "pnio/writer.hpp"
 #include "qss/schedulability.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::pipeline {
 namespace {
@@ -640,7 +641,7 @@ TEST(service, destructor_drains_outstanding_work)
         service svc{service_options{}};
         const std::string text = pnio::write_net(nets::figure_3a());
         for (int i = 0; i < 4; ++i) {
-            if (svc.submit(net_source::from_text("n" + std::to_string(i), text),
+            if (svc.submit(net_source::from_text(testutil::numbered("n", i), text),
                            collector.callback())
                     .status == submit_status::accepted) {
                 ++expected;

@@ -285,6 +285,42 @@ TEST(session, stats_and_shutdown)
     EXPECT_EQ(h.events("bye").size(), 1u);
 }
 
+TEST(session, explore_ignores_the_removed_order_key)
+{
+    // "order" once picked an exploration schedule; both schedules published
+    // the same graph, so the key is now ignored like any unknown field.
+    session_harness h;
+    const auto send_explore = [&](const char* order) {
+        json request = json::object();
+        request.set("op", "explore");
+        request.set("id", "x");
+        request.set("net", pnio::write_net(nets::figure_2()));
+        request.set("max_states", 200);
+        if (order != nullptr) {
+            request.set("order", order);
+        }
+        EXPECT_EQ(h.sess.handle_line(request.dump()), session_verdict::keep_open);
+    };
+    send_explore("unordered");
+    send_explore("bogus");
+    send_explore(nullptr);
+
+    EXPECT_TRUE(h.events("error").empty());
+    const auto explored = h.events("explored");
+    ASSERT_EQ(explored.size(), 3u);
+    for (const json& event : explored) {
+        SCOPED_TRACE(event.dump());
+        EXPECT_EQ(event.find("fallback"), nullptr);
+        for (const char* field : {"states", "edges", "truncated", "deadlock"}) {
+            ASSERT_NE(event.find(field), nullptr) << field;
+            EXPECT_EQ(event.find(field)->dump(), explored.back().find(field)->dump())
+                << field;
+        }
+    }
+    EXPECT_EQ(explored.back().find("states")->as_number(), 200);
+    EXPECT_TRUE(explored.back().find("truncated")->as_bool());
+}
+
 TEST(session, duplicate_nets_are_flagged_on_the_wire)
 {
     session_harness h;

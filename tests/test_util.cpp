@@ -7,6 +7,12 @@
 
 namespace fcqss::testutil {
 
+std::string numbered(std::string prefix, long long n)
+{
+    prefix += std::to_string(n);
+    return prefix;
+}
+
 namespace {
 
 // Grows a balanced processing chain below `from`; every path terminates in a

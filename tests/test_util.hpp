@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "base/prng.hpp"
@@ -18,6 +19,10 @@ namespace fcqss::testutil {
 
 /// The shared deterministic PRNG (see base/prng.hpp).
 using fcqss::prng;
+
+/// `prefix` followed by the decimal digits of `n` ("p", 3 -> "p3"): the
+/// element names of generated test nets.
+[[nodiscard]] std::string numbered(std::string prefix, long long n);
 
 struct random_net_options {
     int sources = 2;          // independent inputs
