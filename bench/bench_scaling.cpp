@@ -15,7 +15,6 @@
 #include "pipeline/net_generator.hpp"
 #include "pn/builder.hpp"
 #include "pn/coverability.hpp"
-#include "pn/parallel_explore.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
 #include "pn/stubborn.hpp"
@@ -124,7 +123,7 @@ double reference_states_per_second(const pn::petri_net& net,
 }
 
 // Best-of-`runs` wall-clock states/second of the engine itself (compact
-// state space, no graph materialization), at a given thread count.
+// state space, no graph materialization).
 // `truncated_out`, when given, reports whether the exploration hit a budget.
 double engine_states_per_second(const pn::petri_net& net,
                                 const pn::reachability_options& options, int runs,
@@ -184,49 +183,6 @@ void report_state_space_engine()
     }
 }
 
-// Thread-scaling rows for the sharded parallel engine (PR 3 tentpole): the
-// same exploration at 1/2/4 threads against the sequential engine, on
-// >= 500-transition generated nets.  CI gates on the best "par4 speedup"
-// row staying >= 2x.
-void report_parallel_engine()
-{
-    benchutil::heading(
-        "parallel engine states/second (sharded workers vs sequential engine)");
-    std::printf("  %8s %8s %8s %12s %12s %12s %9s\n", "family", "|T|", "states",
-                "seq st/s", "par2 st/s", "par4 st/s", "par4 x");
-    pn::reachability_options options{.max_markings = 60000,
-                                     .max_tokens_per_place = 1 << 20};
-    for (const pipeline::net_family family :
-         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
-          pipeline::net_family::marked_graph}) {
-        const pn::petri_net net = generated_net(family, 500);
-        std::size_t states = 0;
-        options.threads = 1;
-        const double sequential = engine_states_per_second(net, options, 3, states);
-        options.threads = 2;
-        const double par2 = engine_states_per_second(net, options, 3, states);
-        options.threads = 4;
-        const double par4 = engine_states_per_second(net, options, 3, states);
-        std::printf("  %8s %8zu %8zu %12.0f %12.0f %12.0f %8.2fx\n",
-                    pipeline::to_string(family), net.transition_count(), states,
-                    sequential, par2, par4, par4 / sequential);
-        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
-        benchutil::row(prefix + "par transitions",
-                       std::to_string(net.transition_count()));
-        benchutil::row(prefix + "seq states/s",
-                       std::to_string(static_cast<long long>(sequential)));
-        benchutil::row(prefix + "par2 states/s",
-                       std::to_string(static_cast<long long>(par2)));
-        benchutil::row(prefix + "par4 states/s",
-                       std::to_string(static_cast<long long>(par4)));
-        char speedup[32];
-        std::snprintf(speedup, sizeof speedup, "%.2f", par2 / sequential);
-        benchutil::row(prefix + "par2 speedup", speedup);
-        std::snprintf(speedup, sizeof speedup, "%.2f", par4 / sequential);
-        benchutil::row(prefix + "par4 speedup", speedup);
-    }
-}
-
 // Bit-identity of two compact state spaces: same ids, token spans, CSR
 // rows, truncation verdict.
 bool identical_spaces(const pn::state_space& a, const pn::state_space& b)
@@ -266,7 +222,6 @@ void report_spill()
     const pn::petri_net net = generated_net(pipeline::net_family::free_choice, 500);
     pn::reachability_options options{.max_markings = 60000,
                                      .max_tokens_per_place = 1 << 20};
-    options.threads = 1;
     const pn::state_space unlimited = pn::explore_space(net, options);
     const std::size_t arena = unlimited.store().arena_bytes();
 
@@ -390,7 +345,7 @@ void report_ltlx_reduction()
                             .emit_full_states = false});
 }
 
-// Karp–Miller timing row: build_coverability_tree now reuses the engines'
+// Karp–Miller timing row: build_coverability_tree now reuses the engine's
 // incremental enabled-set index instead of rescanning all of T per node
 // (tracked by bench_diff as "km nodes/s").
 void report_coverability()
@@ -438,7 +393,6 @@ void report_obs_overhead()
     const pn::petri_net net = generated_net(pipeline::net_family::choice_heavy, 500, 1);
     pn::reachability_options options{.max_markings = 60000,
                                      .max_tokens_per_place = 1 << 20};
-    options.threads = 1;
     std::size_t states = 0;
     obs::set_stats_enabled(false);
     obs::set_tracing_enabled(false);
@@ -456,7 +410,7 @@ void report_obs_overhead()
     benchutil::row("obs idle overhead pct", pct_text);
 }
 
-// Engine-internals rows from the obs counters: one ltl_x-reduced 4-thread
+// Engine-internals rows from the obs counters: one ltl_x-reduced
 // exploration of a choice-heavy net, then derived health metrics.  These
 // are informational for tools/bench_diff.py (--info-metric): probe rate can
 // legitimately move either way, so it must never trip --fail-below.
@@ -466,7 +420,6 @@ void report_obs_counters()
     const pn::petri_net net = generated_net(pipeline::net_family::choice_heavy, 500, 1);
     pn::reachability_options options{.max_markings = 60000,
                                      .max_tokens_per_place = 1 << 20};
-    options.threads = 4;
     options.reduction = pn::reduction_kind::stubborn;
     options.strength = pn::reduction_strength::ltl_x;
     obs::reset();
@@ -479,29 +432,24 @@ void report_obs_counters()
         static_cast<double>(obs::get_counter("pn.store.dedup_hits").value());
     const double inserts =
         static_cast<double>(obs::get_counter("pn.store.inserts").value());
-    const double imbalance = obs::get_gauge("pn.par.shard_imbalance").value();
     obs::set_stats_enabled(false);
     obs::reset();
     const double interns = std::max(1.0, hits + inserts);
     const double probe_rate = probes / interns;
     const double hit_rate = hits / interns;
-    std::printf("  %8s %12s %12s %14s\n", "states", "probe rate", "hit rate",
-                "shard imbal");
-    std::printf("  %8zu %12.3f %12.3f %14.3f\n", states, probe_rate, hit_rate,
-                imbalance);
+    std::printf("  %8s %12s %12s\n", "states", "probe rate", "hit rate");
+    std::printf("  %8zu %12.3f %12.3f\n", states, probe_rate, hit_rate);
     char text[32];
     std::snprintf(text, sizeof text, "%.3f", probe_rate);
     benchutil::row("choice probe rate", text);
     std::snprintf(text, sizeof text, "%.3f", hit_rate);
     benchutil::row("choice dedup hit rate", text);
-    std::snprintf(text, sizeof text, "%.3f", imbalance);
-    benchutil::row("choice shard imbalance", text);
 }
 
 // Differential fuzz throughput (this PR's tentpole): full verdict-matrix
 // runs per second over generated+mutated nets of all six families, under
 // the harness's default tight budgets.  Tracked by bench_diff as "fuzz
-// mutants/s" — a drop means the seq/par/reduced matrix itself got slower,
+// mutants/s" — a drop means the full/reduced matrix itself got slower,
 // which directly shrinks how many mutants a CI fuzz minute covers.  The
 // findings count is printed too; anything nonzero is a correctness bug.
 void report_fuzz_throughput()
@@ -535,7 +483,6 @@ void report_fuzz_throughput()
 void report()
 {
     report_state_space_engine();
-    report_parallel_engine();
     report_spill();
     report_stubborn_reduction();
     report_ltlx_reduction();
@@ -592,19 +539,6 @@ void bm_explore_reference(benchmark::State& state)
 // The reference is ~two orders of magnitude slower; keep its timing loop
 // small so default bench runs stay bounded.
 BENCHMARK(bm_explore_reference)->Arg(1000);
-
-void bm_explore_parallel(benchmark::State& state)
-{
-    const auto net = generated_net(pipeline::net_family::free_choice, 500);
-    const pn::reachability_options options{
-        .max_markings = 20000,
-        .max_tokens_per_place = 1 << 20,
-        .threads = static_cast<std::size_t>(state.range(0))};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pn::explore_parallel(net, options));
-    }
-}
-BENCHMARK(bm_explore_parallel)->Arg(1)->Arg(2)->Arg(4);
 
 void bm_explore_stubborn(benchmark::State& state)
 {

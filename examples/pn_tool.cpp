@@ -5,13 +5,12 @@
 //   pn_tool report   model.pn      full synthesis report
 //   pn_tool codegen  model.pn      emit the synthesized C to stdout
 //   pn_tool dot      model.pn      emit graphviz
-//   pn_tool explore  [--threads N] [--max-states S] [--max-tokens K]
+//   pn_tool explore  [--max-states S] [--max-tokens K]
 //                    [--max-bytes B[K|M|G]]
 //                    [--reduce none|stubborn|stubborn-ltlx]
 //                    [--stats[=FILE]] [--trace=FILE]
 //                    model.pn      explicit state-space exploration on the
-//                                  engine (N != 1 runs the sharded parallel
-//                                  engine; results are identical).  --reduce
+//                                  engine.  --reduce
 //                                  stubborn expands a deadlock-preserving
 //                                  stubborn subset per state: deadlock
 //                                  verdicts are exact, state counts shrink,
@@ -46,13 +45,14 @@
 //                                  firings via a seeded credit place)
 //   pn_tool fuzz     [--seeds N] [--seed-begin S] [--family F]...
 //                    [--mutations M] [--max-states S] [--max-bytes B]
-//                    [--threads N] [--max-allocations R] [--no-shrink]
+//                    [--max-allocations R] [--no-shrink]
 //                    [--no-synthesis] [--out DIR]
 //                                  differential fuzzing: mutate generated
-//                                  nets (pn/mutator.hpp) and require
-//                                  agreeing verdicts across {sequential,
-//                                  parallel} x {none, deadlock, ltl_x} plus
-//                                  a clean synthesis verdict; disagreements
+//                                  nets (pn/mutator.hpp) and require the
+//                                  unreduced graph to match the reference
+//                                  BFS, agreeing verdicts across {none,
+//                                  deadlock, ltl_x} and a clean synthesis
+//                                  verdict; disagreements
 //                                  are shrunk to minimal .pn reproducers in
 //                                  DIR (default fuzz-reproducers/), exit 1
 //   pn_tool serve    [--jobs N] [--queue N] [--cache N]
@@ -258,16 +258,13 @@ constexpr cli::enum_choice<pipeline::net_family> family_choices[] = {
 int cmd_explore(int argc, char** argv)
 {
     pn::reachability_options options;
-    options.threads = 1;
     cli::telemetry_options telemetry;
     std::string path;
     for (int i = 2; i < argc; ++i) {
         long value = 0;
         unsigned long long bytes = 0;
         reduce_mode mode = reduce_mode::none;
-        if (cli::int_option(argc, argv, i, "--threads", value)) {
-            options.threads = value >= 0 ? static_cast<std::size_t>(value) : 1;
-        } else if (cli::int_option(argc, argv, i, "--max-states", value)) {
+        if (cli::int_option(argc, argv, i, "--max-states", value)) {
             options.max_markings = value > 0 ? static_cast<std::size_t>(value) : 1;
         } else if (cli::int_option(argc, argv, i, "--max-tokens", value)) {
             options.max_tokens_per_place = value > 0 ? value : 1;
@@ -474,8 +471,6 @@ int cmd_fuzz(int argc, char** argv)
             options.max_states = value > 0 ? static_cast<std::size_t>(value) : 1;
         } else if (cli::byte_option(argc, argv, i, "--max-bytes", bytes)) {
             options.max_bytes = static_cast<std::size_t>(bytes);
-        } else if (cli::int_option(argc, argv, i, "--threads", value)) {
-            options.threads = value > 1 ? static_cast<std::size_t>(value) : 2;
         } else if (cli::int_option(argc, argv, i, "--max-allocations", value)) {
             options.max_allocations = value > 0 ? static_cast<std::size_t>(value) : 1;
         } else if (cli::enum_option(argc, argv, i, "--family", family_choices,
@@ -611,7 +606,7 @@ constexpr cli::command commands[] = {
     {"codegen", "model.pn", cmd_codegen},
     {"dot", "model.pn", cmd_dot},
     {"explore",
-     "[--threads N] [--max-states S] [--max-tokens K] [--max-bytes B]\n"
+     "[--max-states S] [--max-tokens K] [--max-bytes B]\n"
      "                  [--reduce none|stubborn|stubborn-ltlx]\n"
      "                  [--stats[=FILE]] [--trace=FILE] model.pn",
      cmd_explore},
@@ -629,8 +624,7 @@ constexpr cli::command commands[] = {
      cmd_generate},
     {"fuzz",
      "[--seeds N] [--seed-begin S] [--family F]... [--mutations M]\n"
-     "                  [--max-states S] [--max-bytes B] [--threads N] "
-     "[--max-allocations R]\n"
+     "                  [--max-states S] [--max-bytes B] [--max-allocations R]\n"
      "                  [--no-shrink] [--no-synthesis] [--verbose] [--out DIR]\n"
      "                  [--stats[=FILE]] [--trace=FILE]",
      cmd_fuzz},

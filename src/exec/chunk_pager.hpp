@@ -5,9 +5,8 @@
 // resident set under the budget.
 //
 // The one invariant everything above relies on: **a chunk's address never
-// changes for the life of the pager.**  marking_store spans, the engines'
-// cross-thread parent-row pointers and the public state_space token spans
-// all point straight into chunks, so eviction must not remap anything.
+// changes for the life of the pager.**  marking_store spans and the public
+// state_space token spans point straight into chunks, so eviction must not remap anything.
 // File-backed chunks are therefore MAP_SHARED mappings that stay mapped
 // forever; "eviction" is msync(MS_ASYNC) + madvise(MADV_DONTNEED), which
 // drops the chunk's resident pages (the file keeps the bytes) while leaving

@@ -1,15 +1,11 @@
 // fcqss — exec/executor.hpp
 // A fixed-size thread pool (std::jthread workers pulling from a bounded
-// job_queue) with the one primitive both batch synthesis and the parallel
-// state-space engine need: run fn(i) for every index in [0, count) and wait
-// for all of them.  Jobs are expected to handle their own failures (callers
-// isolate per-item errors); any exception that escapes a job anyway is
-// captured and rethrown to the caller of for_each_index after the batch
-// drains, so worker threads never terminate the process.
-//
-// This used to live in src/pipeline/; it moved down a layer so that
-// src/pn/parallel_explore.cpp can drive shard workers over the same pool
-// without a pn -> pipeline dependency cycle.
+// job_queue) with the one primitive batch synthesis needs: run fn(i) for
+// every index in [0, count) and wait for all of them.  Jobs are expected to
+// handle their own failures (callers isolate per-item errors); any
+// exception that escapes a job anyway is captured and rethrown to the
+// caller of for_each_index after the batch drains, so worker threads never
+// terminate the process.
 #ifndef FCQSS_EXEC_EXECUTOR_HPP
 #define FCQSS_EXEC_EXECUTOR_HPP
 

@@ -1,5 +1,5 @@
 // fcqss — obs/obs.hpp
-// Zero-overhead-when-off telemetry for the whole stack: the engines, the
+// Zero-overhead-when-off telemetry for the whole stack: the engine, the
 // executor and the batch pipeline all report through this one module, and
 // one snapshot serializes everything to a stable JSONL schema (the same
 // {"bench","label","value"} rows the bench binaries emit, so
@@ -15,7 +15,7 @@
 //       they are off; totals are aggregated only at snapshot() time, so no
 //       increment ever contends on a shared line with a reader.  Hot loops
 //       that want literally zero per-event cost accumulate into locals and
-//       add() once per batch (the engines flush per level / per run).
+//       add() once per batch (the engine flushes every few thousand states).
 //
 //   spans
 //       RAII stage timers.  Construction records a steady-clock start,

@@ -41,35 +41,32 @@ const char* strength_name(pn::reduction_kind kind, pn::reduction_strength streng
     return strength == pn::reduction_strength::ltl_x ? "ltlx" : "deadlock";
 }
 
-/// Bit-identity check between the sequential cell and one parallel cell
-/// (`cell` names it, e.g. "par/ltlx"); any
+/// The unreduced engine cell against the naive reference BFS: same
+/// markings in id order, same edges, same truncation verdict.  Any
 /// difference is a disagreement by itself.
-std::string compare_spaces(const pn::state_space& seq, const pn::state_space& par,
-                           const std::string& cell)
+std::string compare_with_reference(const pn::state_space& space,
+                                   const pn::reachability_graph& reference)
 {
-    const std::string where = "[seq vs " + cell + "] ";
-    if (seq.state_count() != par.state_count()) {
-        return where + "state counts differ: " + std::to_string(seq.state_count()) +
-               " vs " + std::to_string(par.state_count());
+    const std::string where = "[engine vs reference] ";
+    if (space.state_count() != reference.size()) {
+        return where + "state counts differ: " + std::to_string(space.state_count()) +
+               " vs " + std::to_string(reference.size());
     }
-    if (seq.edge_count() != par.edge_count()) {
-        return where + "edge counts differ: " + std::to_string(seq.edge_count()) +
-               " vs " + std::to_string(par.edge_count());
-    }
-    if (seq.truncated() != par.truncated()) {
+    if (space.truncated() != reference.truncated) {
         return where + "truncation verdicts differ";
     }
-    for (pn::state_id s = 0; s < static_cast<pn::state_id>(seq.state_count()); ++s) {
-        const auto seq_tokens = seq.tokens(s);
-        const auto par_tokens = par.tokens(s);
-        if (!std::equal(seq_tokens.begin(), seq_tokens.end(), par_tokens.begin(),
-                        par_tokens.end())) {
+    for (pn::state_id s = 0; s < static_cast<pn::state_id>(space.state_count()); ++s) {
+        const auto tokens = space.tokens(s);
+        const tokens_vec& expected = reference.nodes[s].state.vector();
+        if (!std::equal(tokens.begin(), tokens.end(), expected.begin(), expected.end())) {
             return where + "state " + std::to_string(s) + " markings differ";
         }
-        const auto seq_edges = seq.successors(s);
-        const auto par_edges = par.successors(s);
-        if (!std::equal(seq_edges.begin(), seq_edges.end(), par_edges.begin(),
-                        par_edges.end())) {
+        const auto edges = space.successors(s);
+        const auto& expected_edges = reference.nodes[s].successors;
+        if (!std::equal(edges.begin(), edges.end(), expected_edges.begin(),
+                        expected_edges.end(), [](const auto& edge, const auto& ref) {
+                            return edge.via == ref.first && edge.to == ref.second;
+                        })) {
             return where + "state " + std::to_string(s) + " edges differ";
         }
     }
@@ -111,16 +108,15 @@ std::string check_verdict_matrix(const pn::petri_net& net, const fuzz_options& o
         explore.max_bytes = options.max_bytes;
         explore.reduction = configs[c].kind;
         explore.strength = configs[c].strength;
-        explore.threads = 1;
-        const pn::state_space seq = pn::explore_space(net, explore);
-        explore.threads = options.threads > 1 ? options.threads : 2;
-        const pn::state_space par = pn::explore_space(net, explore);
-        const char* name = strength_name(configs[c].kind, configs[c].strength);
-        if (std::string reason = compare_spaces(seq, par, std::string("par/") + name);
-            !reason.empty()) {
-            return reason;
+        const pn::state_space space = pn::explore_space(net, explore);
+        if (configs[c].kind == pn::reduction_kind::none) {
+            if (std::string reason =
+                    compare_with_reference(space, pn::explore_reference(net, explore));
+                !reason.empty()) {
+                return reason;
+            }
         }
-        verdicts[c] = verdict_of(net, seq);
+        verdicts[c] = verdict_of(net, space);
     }
 
     // Reduction soundness against the full exploration (cell 0).

@@ -1,21 +1,21 @@
 // fcqss — pipeline/fuzz.hpp
 // The standing differential fuzz discipline: seeded base nets from every
-// generator family, mutated by pn/mutator.hpp, driven through the full
-// verdict matrix
+// generator family, mutated by pn/mutator.hpp, driven through the verdict
+// matrix
 //
-//   {sequential, parallel} x {none, stubborn-deadlock, stubborn-ltl_x}
+//   {none, stubborn-deadlock, stubborn-ltl_x}
 //
 // under tight exploration budgets, plus one synthesis-pipeline pass.  The
 // invariants checked per mutant:
 //
-//   engine agreement     for each reduction strength, the parallel engine's
-//                        state space is bit-identical to the sequential one
-//                        (states, edges, token spans, truncation) — the
-//                        repo-wide determinism guarantee.
+//   engine agreement     the unreduced state space equals the naive
+//                        explore_reference() graph (states in id order,
+//                        edges, truncation), also when max_bytes routes the
+//                        engine through the spill path.
 //   reduction soundness  a stubborn-reduced exploration never visits more
 //                        states than the full one (both untruncated), every
 //                        definite has-deadlock verdict agrees across all
-//                        six cells, and untruncated cells agree on the
+//                        three cells, and untruncated cells agree on the
 //                        exact set of reachable dead markings.
 //   rejection, not UB    the synthesis path (classify -> structural -> QSS
 //                        -> codegen) either succeeds or rejects with a
@@ -60,8 +60,6 @@ struct fuzz_options {
     /// Non-zero routes every cell through the mmap spill path, so the fuzz
     /// matrix doubles as a differential test of the external-memory store.
     std::size_t max_bytes = 0;
-    /// Thread count of the parallel-engine column.
-    std::size_t threads = 2;
     /// Scheduler budget (T-reductions computed) for the synthesis pass on
     /// each mutant.
     std::size_t max_allocations = 512;

@@ -7,6 +7,7 @@
 #include "base/error.hpp"
 #include "base/prng.hpp"
 #include "pn/builder.hpp"
+#include "pnio/lexer.hpp"
 
 namespace fcqss::pipeline {
 
@@ -30,6 +31,24 @@ const char* to_string(net_family family)
 }
 
 namespace {
+
+/// Throws resource_limit_error as soon as the net under construction has
+/// more places, transitions or arcs than the default pnio::parse_limits
+/// admit: no default reader would load it back, and growing on only burns
+/// memory (the fc family at depth 40 grows until the process is killed).
+void check_readable_size(const pn::net_builder& builder)
+{
+    constexpr pnio::parse_limits limits{};
+    if (builder.place_count() > limits.max_places ||
+        builder.transition_count() > limits.max_transitions ||
+        builder.arc_count() > limits.max_arcs) {
+        throw resource_limit_error(
+            "net_generator: net exceeds the default reader limits (" +
+            std::to_string(limits.max_places) + " places, " +
+            std::to_string(limits.max_transitions) + " transitions, " +
+            std::to_string(limits.max_arcs) + " arcs); lower --depth or --sources");
+    }
+}
 
 // Grows one net: layered chains below each source, every path ending in a
 // sink transition so the net is consistent (and schedulable) by design.
@@ -64,6 +83,7 @@ public:
 
     void grow(pn::transition_id from, int depth_left)
     {
+        check_readable_size(builder_);
         if (depth_left <= 0) {
             return; // `from` stays a sink transition
         }
@@ -198,7 +218,7 @@ void maybe_load(pn::net_builder& builder, prng& rng, const generator_options& op
 /// shared pool of `depth` tellers.  grab_m consumes a request *and* a
 /// teller, done_m returns the teller — a join on a shared place, so the
 /// family is non-free-choice by design (the synthesis path must reject it;
-/// the engines explore it like any other net).
+/// the engine explores it like any other net).
 void build_client_server(pn::net_builder& builder, prng& rng,
                          const generator_options& options,
                          std::vector<pn::transition_id>& sources)
@@ -206,6 +226,7 @@ void build_client_server(pn::net_builder& builder, prng& rng,
     const auto pool =
         builder.add_place("tellers", std::max(1, options.depth));
     for (int m = 0; m < options.sources; ++m) {
+        check_readable_size(builder);
         const std::string id = std::to_string(m);
         const auto src = builder.add_transition("req_src" + id);
         sources.push_back(src);
@@ -243,6 +264,7 @@ void build_layered_pipeline(pn::net_builder& builder, prng& rng,
             builder.add_transition("stage_src" + std::to_string(s))};
         sources.push_back(stage.front());
         for (int layer = 0; layer < options.depth; ++layer) {
+            check_readable_size(builder);
             if (stage.size() == 1) {
                 // Fan out: one transition feeds `width` parallel branches.
                 const auto width = static_cast<int>(
@@ -296,6 +318,7 @@ void build_bursty_multirate(pn::net_builder& builder, prng& rng,
         builder.add_arc(buffer, prev);
         maybe_load(builder, rng, options, buffer);
         for (int stage = 0; stage < options.depth; ++stage) {
+            check_readable_size(builder);
             const std::string sid = std::to_string(serial++);
             const auto p = builder.add_place("bp" + sid);
             const auto t = builder.add_transition("bt" + sid);
@@ -372,6 +395,7 @@ pn::petri_net net_generator::next()
             builder.add_arc(credit, sources[s]);
         }
     }
+    check_readable_size(builder);
     state_ = rng.state() ^ (0x9e3779b97f4a7c15ULL + generated_);
     if (state_ == 0) {
         state_ = 0x9e3779b97f4a7c15ULL;

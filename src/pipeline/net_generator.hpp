@@ -38,7 +38,7 @@ enum class net_family {
     /// shared pool of tellers (a resource place holding `depth` tokens).
     /// The shared pool makes the net deliberately non-free-choice — the
     /// production shape every synthesis stage must reject cleanly — while
-    /// the engines still explore its (finite, credit-bounded) state space.
+    /// the engine still explores its (finite, credit-bounded) state space.
     client_server,
     /// Staged dataflow: `depth` alternating fan-out/fan-in layers of width
     /// up to `max_alternatives`.  Every place keeps one producer and one

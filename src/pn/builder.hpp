@@ -37,6 +37,14 @@ public:
     /// Changes the initial marking of an already-added place.
     void set_initial_tokens(place_id p, std::int64_t tokens);
 
+    /// Sizes of the net built so far.
+    [[nodiscard]] std::size_t place_count() const noexcept { return net_.place_count(); }
+    [[nodiscard]] std::size_t transition_count() const noexcept
+    {
+        return net_.transition_count();
+    }
+    [[nodiscard]] std::size_t arc_count() const noexcept { return net_.arc_count(); }
+
     /// Validates and returns the finished net.  The builder is consumed.
     [[nodiscard]] petri_net build() &&;
 

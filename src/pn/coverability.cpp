@@ -100,7 +100,7 @@ coverability_tree build_coverability_tree(const petri_net& net,
     flatten(tree.nodes.front().state, flat);
     expanded.intern(flat.data(), marking_store::hash_tokens(flat.data(), flat.size()));
 
-    // Incremental enabled sets, exactly like the exploration engines: on
+    // Incremental enabled sets, exactly like the exploration engine: on
     // flattened counts (omega = its sentinel, which exceeds every arc
     // weight) detail::enabled_in coincides with omega_enabled, so a child's
     // enabled set is its parent's with only affected[t] re-checked — plus

@@ -3,8 +3,6 @@
 #include "exec/chunk_pager.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 
 namespace fcqss::pn {
 
@@ -61,12 +59,6 @@ std::uint64_t marking_store::hash_tokens(const std::int64_t* tokens,
     return hash;
 }
 
-bool marking_store::equal_at(state_id id, const std::int64_t* candidate) const noexcept
-{
-    return width_ == 0 ||
-           std::memcmp(tokens(id).data(), candidate, width_ * sizeof(std::int64_t)) == 0;
-}
-
 state_id marking_store::find(const std::int64_t* candidate,
                              std::uint64_t hash) const noexcept
 {
@@ -100,32 +92,6 @@ void marking_store::allocate_chunk()
         owned_chunks_.emplace_back(new std::int64_t[states_per_chunk_ * width_]);
         chunk_rows_.push_back(owned_chunks_.back().get());
     }
-}
-
-void marking_store::start_bulk_build(std::size_t count)
-{
-    assert(size() == 0 && "bulk build requires an empty store");
-    grow_bulk_build(count);
-}
-
-void marking_store::grow_bulk_build(std::size_t count)
-{
-    assert(count >= size());
-    const std::size_t chunk_count = (count + states_per_chunk_ - 1) / states_per_chunk_;
-    chunk_rows_.reserve(chunk_count);
-    while (chunk_rows_.size() < chunk_count) {
-        allocate_chunk();
-    }
-    hashes_.resize(count);
-}
-
-void marking_store::finish_bulk_build()
-{
-    std::size_t capacity = initial_table_capacity;
-    while (size() * 10 >= capacity * 7) {
-        capacity *= 2;
-    }
-    rebuild_table(capacity);
 }
 
 void marking_store::rebuild_table(std::size_t capacity)

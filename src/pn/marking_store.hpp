@@ -35,9 +35,8 @@ using state_id = std::uint32_t;
 inline constexpr state_id invalid_state = static_cast<state_id>(-1);
 
 /// Running tallies of one store's dedup work, maintained unconditionally
-/// (plain increments on single-owner stores — the engines shard stores per
-/// thread, so no atomics are needed) and flushed into the global obs
-/// counters by the engines when telemetry is on.
+/// (plain increments: a store has one owner, so no atomics are needed) and
+/// flushed into the global obs counters by the engine when telemetry is on.
 struct marking_store_stats {
     std::uint64_t probes = 0;         ///< hash-table slots inspected by interns
     std::uint64_t dedup_hits = 0;     ///< interns that found an existing marking
@@ -51,9 +50,8 @@ public:
     /// A store for markings of `width` places, arena on the heap.
     explicit marking_store(std::size_t width);
 
-    /// A store whose arena chunks come from `pager` (shared across all the
-    /// stores of one exploration run so they compete for one budget).
-    /// A null pager is equivalent to the plain constructor.
+    /// A store whose arena chunks come from `pager`, which holds them to its
+    /// resident budget.  A null pager is equivalent to the plain constructor.
     marking_store(std::size_t width, std::shared_ptr<exec::chunk_pager> pager);
 
     ~marking_store();
@@ -85,30 +83,6 @@ public:
     intern(const std::int64_t* tokens, std::uint64_t hash,
            std::size_t max_states = static_cast<std::size_t>(-1))
     {
-        const std::size_t bytes = width_ * sizeof(std::int64_t);
-        return intern_with(
-            hash, max_states,
-            [&](const std::int64_t* stored) {
-                return bytes == 0 || std::memcmp(stored, tokens, bytes) == 0;
-            },
-            [&](std::int64_t* slot) { std::memcpy(slot, tokens, bytes); });
-    }
-
-    /// intern() with the token vector virtualized: `equals(stored)` decides
-    /// whether the candidate equals an already-interned vector, and
-    /// `fill(slot)` writes the candidate's width() counts directly into its
-    /// arena slot on insertion.  Neither is called unless the probe needs
-    /// it, so candidates that lose by hash alone — fresh markings rejected
-    /// by `max_states`, or probes that run into an empty slot — cost
-    /// O(probe) instead of O(width), and insertions write the arena without
-    /// an intermediate copy.  The parallel engine lives on this: near a
-    /// state budget almost every candidate is a doomed fresh marking, and
-    /// accepted ones are reconstructed from (parent row, firing delta)
-    /// straight into the arena.
-    template <typename Equals, typename Fill>
-    std::pair<state_id, bool> intern_with(std::uint64_t hash, std::size_t max_states,
-                                          Equals&& equals, Fill&& fill)
-    {
         std::size_t slot = hash & table_mask_;
         for (;; slot = (slot + 1) & table_mask_) {
             ++stats_.probes;
@@ -116,7 +90,7 @@ public:
             if (id == invalid_state) {
                 break;
             }
-            if (hashes_[id] == hash && equals(tokens(id).data())) {
+            if (hashes_[id] == hash && equal_at(id, tokens)) {
                 ++stats_.dedup_hits;
                 return {id, false};
             }
@@ -130,7 +104,8 @@ public:
         if (id % states_per_chunk_ == 0) {
             allocate_chunk();
         }
-        fill(bulk_tokens(id));
+        std::memcpy(chunk_rows_[id / states_per_chunk_] + (id % states_per_chunk_) * width_,
+                    tokens, width_ * sizeof(std::int64_t));
         hashes_.push_back(hash);
         table_[slot] = id;
         // Keep the load factor below ~0.7 (power-of-two capacity, linear
@@ -171,42 +146,6 @@ public:
     /// hash table — the denominator of a spill ratio.
     [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
-    // -- Bulk building (the parallel engine's merge step) -------------------
-    //
-    // The sharded explorer dedups markings in per-shard stores and already
-    // knows the final result is `count` pairwise-distinct markings; copying
-    // them through intern() would redo one hash probe and one memcmp per
-    // state on one thread.  start_bulk_build() pre-sizes the arena so
-    // disjoint ids can be filled concurrently through bulk_tokens() /
-    // set_bulk_hash(); finish_bulk_build() then rebuilds the dedup table
-    // from the hashes alone.  No lookup or intern is valid in between.
-
-    /// Pre-sizes an empty store to exactly `count` markings with
-    /// unspecified contents.  Every id in [0, count) must be filled before
-    /// finish_bulk_build(); distinct ids may be filled from different
-    /// threads.
-    void start_bulk_build(std::size_t count);
-
-    /// Extends a bulk build to `count` markings (count >= size()): the new
-    /// slots [size(), count) behave like start_bulk_build slots.  Must be
-    /// called from one thread, with no concurrent reader or writer; already
-    /// filled token rows stay valid (the arena never moves), so barrier-
-    /// separated phases can keep reading them.
-    void grow_bulk_build(std::size_t count);
-
-    /// Writable token slot of `id` during a bulk build (length width()).
-    [[nodiscard]] std::int64_t* bulk_tokens(state_id id) noexcept
-    {
-        return chunk_rows_[id / states_per_chunk_] + (id % states_per_chunk_) * width_;
-    }
-
-    /// Records the precomputed hash of `id` during a bulk build.
-    void set_bulk_hash(state_id id, std::uint64_t hash) noexcept { hashes_[id] = hash; }
-
-    /// Rebuilds the open-addressing table from the bulk-filled hashes.
-    /// Entries are trusted to be pairwise distinct (no equality checks).
-    void finish_bulk_build();
-
     /// Approximate arena + table footprint, for telemetry and benches.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
@@ -217,7 +156,11 @@ public:
     [[nodiscard]] const marking_store_stats& stats() const noexcept { return stats_; }
 
 private:
-    [[nodiscard]] bool equal_at(state_id id, const std::int64_t* tokens) const noexcept;
+    [[nodiscard]] bool equal_at(state_id id, const std::int64_t* candidate) const noexcept
+    {
+        return width_ == 0 ||
+               std::memcmp(tokens(id).data(), candidate, width_ * sizeof(std::int64_t)) == 0;
+    }
     void rebuild_table(std::size_t capacity);
     void allocate_chunk();
 

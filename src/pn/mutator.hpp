@@ -20,7 +20,7 @@
 //                          fuzz harness enforces is *not* that such nets
 //                          synthesize — it is that every downstream stage
 //                          either succeeds or rejects them cleanly, with
-//                          agreeing verdicts across engines and reductions.
+//                          agreeing verdicts across reductions.
 //
 // Every mutant is a valid pn::petri_net: names stay unique identifiers,
 // arc weights stay positive, duplicate arcs are merged (weights summed),

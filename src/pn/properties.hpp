@@ -28,7 +28,7 @@ enum class verdict {
 
 /// k-boundedness decided on the explicit reachability graph instead of the
 /// coverability tree (useful when the caller already pays for exploration,
-/// or wants the engines' thread/reduction knobs).  An over-k witness is
+/// or wants the engine's reduction knob).  An over-k witness is
 /// definite even on a truncated exploration; "yes" needs the full graph.
 /// With a stubborn reduction the strength is upgraded to ltl_x and each
 /// *growable* place is queried in its own exploration observing just that

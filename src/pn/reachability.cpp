@@ -4,14 +4,12 @@
 #include <unordered_map>
 
 #include "base/error.hpp"
-#include "pn/parallel_explore.hpp"
 
 namespace fcqss::pn {
 
 state_space explore_space(const petri_net& net, const reachability_options& options)
 {
-    return options.threads == 1 ? explore_state_space(net, options)
-                                : explore_parallel(net, options);
+    return explore_state_space(net, options);
 }
 
 reachability_graph explore_reference(const petri_net& net,

@@ -4,7 +4,7 @@
 // and bound questions from its compact state_space.  Used for deadlock
 // checks, liveness of bounded nets and for cross-validating the structural
 // analyses in tests.  explore_reference() and its reachability_graph are
-// the naive oracle the engines are tested against.
+// the naive oracle the engine is tested against.
 #ifndef FCQSS_PN_REACHABILITY_HPP
 #define FCQSS_PN_REACHABILITY_HPP
 
@@ -20,9 +20,8 @@
 namespace fcqss::pn {
 
 /// Breadth-first exploration from the net's initial marking: the one
-/// exploration entry point.  Dispatches on options.threads between
-/// explore_state_space() and explore_parallel(); the result is the same
-/// either way.
+/// exploration entry point.  Runs explore_state_space() (options.threads is
+/// accepted and ignored).
 [[nodiscard]] state_space explore_space(const petri_net& net,
                                         const reachability_options& options = {});
 
@@ -33,7 +32,7 @@ namespace fcqss::pn {
 // so nothing is ever materialized into marking objects.  Each is
 // observationally identical to its linear-scan reachability_graph
 // counterpart over explore_reference() (pinned by
-// tests/test_parallel_explore.cpp).
+// tests/test_state_space.cpp).
 
 /// First deadlocked state in id order, if any (the marking is one
 /// space.marking_of() away).  States with outgoing edges are skipped

@@ -20,17 +20,13 @@
 #include "pn/petri_net.hpp"
 #include "pn/stubborn.hpp"
 
-namespace fcqss::exec {
-class executor;
-}
-
 namespace fcqss::pn {
 
 struct state_space_edge;
 class state_space;
 
 /// Limits and reduction for explicit exploration: the one option struct
-/// behind explore_space() and both engines.
+/// behind explore_space() and the engine.
 struct reachability_options {
     /// Bound on the state count.
     std::size_t max_markings = 100000;
@@ -43,9 +39,8 @@ struct reachability_options {
     /// exploration can outgrow RAM; the explored graph is bit-identical at
     /// any spill ratio.
     std::size_t max_bytes = 0;
-    /// Worker threads: explore_space() runs the sequential engine at 1 and
-    /// the sharded parallel engine otherwise (0 = hardware concurrency).
-    /// Results are bit-identical either way.
+    /// Accepted and ignored: exploration is sequential.  Kept only so
+    /// existing callers that still set it compile.
     std::size_t threads = 1;
     /// Per-state partial-order reduction (pn/stubborn.hpp).  `stubborn`
     /// explores a property-preserving fragment: with `strength = deadlock`
@@ -75,12 +70,12 @@ namespace detail {
                               transition_id t);
 
 /// affected[t]: the transitions whose enabledness can change when t fires —
-/// the consumers of every place t consumes from or produces into.  Both
-/// engines drive their incremental enabled-set updates off this table.
+/// the consumers of every place t consumes from or produces into.  The
+/// engine drives its incremental enabled-set updates off this table.
 [[nodiscard]] std::vector<std::vector<transition_id>>
 affected_transitions(const petri_net& net);
 
-/// The incremental enabled-set step shared by both engines: the successor's
+/// The incremental enabled-set step: the successor's
 /// enabled set is the parent's (`parent_enabled`, ascending) with the
 /// members of `recheck` (ascending) re-tested against the successor tokens.
 /// The result is written to `out` (cleared first), ascending.
@@ -88,34 +83,17 @@ void merge_enabled(const petri_net& net, const std::vector<transition_id>& paren
                    const std::vector<transition_id>& recheck,
                    const std::int64_t* tokens, std::vector<transition_id>& out);
 
-/// The ltl_x "no transition ignored forever" post-pass shared by both
-/// engines: over the finished reduced graph, every SCC that can sustain a
-/// cycle (two or more states, or a self-loop) and ignores a transition —
-/// enabled at some member state but fired from none — gets its smallest
-/// such state fully expanded; freshly discovered states are then explored
-/// with the normal per-state reduction, and the check repeats until no SCC
-/// ignores anything.  Deterministic in (net, reduction, space, options)
-/// alone, so running it after either engine keeps the
-/// bit-identical-at-any-thread-count guarantee.  Budgets are respected
-/// exactly like in-engine expansion (dropped successors mark the space
-/// truncated).
-///
-/// When `pool` is given, the per-SCC re-expansions and the re-exploration
-/// of freshly discovered states run their candidate generation (firing,
-/// cap scan, hashing, stubborn closure) on the executor; candidates are
-/// then interned by a sequential merge in (state id, transition id) order —
-/// the exact order the inline path interns in — so the result is
-/// bit-identical with or without the pool at any thread count.
+/// The ltl_x "no transition ignored forever" post-pass: over the finished
+/// reduced graph, every SCC that can sustain a cycle (two or more states,
+/// or a self-loop) and ignores a transition — enabled at some member state
+/// but fired from none — gets its smallest such state fully expanded;
+/// freshly discovered states are then explored with the normal per-state
+/// reduction, and the check repeats until no SCC ignores anything.  Successors are interned in (state id, transition id)
+/// order, so the result is deterministic in (net, reduction, space,
+/// options) alone.  Budgets are respected exactly like in-engine expansion
+/// (dropped successors mark the space truncated).
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const reachability_options& options,
-                         exec::executor* pool = nullptr);
-
-/// Adds one store's dedup-work tallies (probes, dedup hits, inserts, budget
-/// rejects, table resizes, arena footprint, chunk count) to the global
-/// pn.store.* obs counters.  No-op when stats are off.  Both engines call
-/// this once per store at the end of a run — the stores themselves count
-/// with plain members so the hot probe loop never touches an atomic.
-void flush_store_obs(const marking_store& store);
+                         state_space& space, const reachability_options& options);
 
 } // namespace detail
 
@@ -156,13 +134,10 @@ public:
 private:
     friend state_space explore_state_space(const petri_net& net,
                                            const reachability_options& options);
-    friend state_space explore_parallel(const petri_net& net,
-                                        const reachability_options& options);
     friend void detail::enforce_nonignoring(const petri_net& net,
                                             const stubborn_reduction& reduction,
                                             state_space& space,
-                                            const reachability_options& options,
-                                            exec::executor* pool);
+                                            const reachability_options& options);
 
     marking_store store_{0};
     std::vector<state_space_edge> edges_;
@@ -171,8 +146,8 @@ private:
     bool truncated_ = false;
 };
 
-/// Breadth-first exploration from the net's initial marking on the
-/// sequential engine (options.threads is ignored).  Visits exactly the
+/// Breadth-first exploration from the net's initial marking (the engine
+/// behind explore_space(); options.threads is ignored).  Visits exactly the
 /// states and edges of the naive reference exploration (reachability.cpp
 /// explore_reference), in the same order.
 [[nodiscard]] state_space explore_state_space(const petri_net& net,

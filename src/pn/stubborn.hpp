@@ -1,6 +1,6 @@
 // fcqss — pn/stubborn.hpp
 // Stubborn-set partial-order reduction (Valmari).  At a marking M the
-// engines normally expand every enabled transition; with reduction they
+// engine normally expands every enabled transition; with reduction they
 // expand only a *stubborn subset* S ∩ En(M), where S is the closure of one
 // enabled seed under two structural rules:
 //
@@ -38,7 +38,7 @@
 //          of the SCC (Varpaaniemi's "t occurs in C"; the successor may
 //          leave the SCC — every member still reaches the firing state
 //          inside C, which is exactly what fireability preservation
-//          needs).  This is not a per-state rule: the engines enforce it
+//          needs).  This is not a per-state rule: the engine enforces it
 //          with a deterministic post-pass over the finished reduced graph
 //          (detail::enforce_nonignoring in pn/state_space.hpp) that fully
 //          expands one state per offending SCC and re-explores
@@ -47,12 +47,9 @@
 //          that every infinite run eventually fires t.
 //
 // Both per-state rules are precomputed once per net from the incidence data
-// (the conflict relation is the same consumer index behind the engines'
+// (the conflict relation is the same consumer index behind the engine's
 // incremental enabled sets); the per-state closure is a deterministic
-// function of the marking alone, which keeps the parallel engine's
-// bit-identical-at-any-thread-count guarantee intact — the ignoring
-// post-pass is sequential and runs on the (already identical) leveled
-// graph, so the guarantee survives ltl_x strength too.
+// function of the marking alone.
 #ifndef FCQSS_PN_STUBBORN_HPP
 #define FCQSS_PN_STUBBORN_HPP
 
@@ -63,7 +60,7 @@
 
 namespace fcqss::pn {
 
-/// Which partial-order reduction the exploration engines apply per state.
+/// Which partial-order reduction the exploration engine applies per state.
 enum class reduction_kind {
     /// Expand every enabled transition: the full state graph.
     none,

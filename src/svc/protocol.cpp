@@ -171,9 +171,8 @@ void session::handle_explore(const json& request)
     }
 
     // Client knobs clamp against the server's ceilings — they can only make
-    // the run cheaper.  threads and max_bytes come from the server policy
-    // untouched: a remote client must not widen the worker pool or the
-    // resident-memory budget.
+    // the run cheaper.  max_bytes comes from the server policy untouched: a
+    // remote client must not widen the resident-memory budget.
     pn::reachability_options explore = options_.explore;
     if (const json* max_states = request.find("max_states");
         max_states != nullptr && max_states->as_number() >= 1) {

@@ -24,9 +24,9 @@
 //   `explore` runs state-space exploration synchronously on the session
 //   thread and replies with one `explored` event.  The client may tighten
 //   `max_states` / `max_tokens` (clamped to the server's ceilings, never
-//   widened) and pick `reduce` (none|stubborn|stubborn-ltlx); thread
-//   count and the resident-memory budget (--max-bytes) are server policy
-//   and not negotiable over the wire.
+//   widened) and pick `reduce` (none|stubborn|stubborn-ltlx); the
+//   resident-memory budget (--max-bytes) is server policy and not
+//   negotiable over the wire.
 //
 // Events (`event` discriminates; `id` echoes the client id when given):
 //
@@ -81,9 +81,8 @@ struct session_options {
     std::size_t max_json_depth = 32;
     /// Server-side exploration policy for {"op":"explore"}.  `max_markings`
     /// and `max_tokens_per_place` are ceilings a client may tighten but
-    /// never raise; `threads` and `max_bytes` (the resident arena budget —
-    /// pn_tool serve --max-bytes) are applied as-is and are not exposed on
-    /// the wire.
+    /// never raise; `max_bytes` (the resident arena budget — pn_tool serve
+    /// --max-bytes) is applied as-is and is not exposed on the wire.
     pn::reachability_options explore{};
 };
 

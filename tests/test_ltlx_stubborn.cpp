@@ -2,15 +2,12 @@
 // (pn/stubborn.hpp): randomized sweeps over every generator family x defect
 // x token load x source credit assert that check_live / boundedness
 // verdicts decided on the ltl_x-reduced graph equal the unreduced engine's
-// exactly, at threads 1/2/4 and under tight truncating budgets, and that
-// the reduced spaces themselves stay bit-identical across thread counts
-// (the ignoring fix-up is a deterministic sequential post-pass).  The file
-// also carries the ignoring-regression fixture — a cycle of choices that a
-// deadlock-strength reduction starves forever, flipping the liveness
-// verdict — and the from-scratch proviso property test: in every
-// cycle-capable SCC of an ltl_x-reduced graph, each transition enabled
-// somewhere in the SCC is fired somewhere in it.  Runs under the TSan CI
-// job.
+// exactly, also under tight truncating budgets, where the ignoring fix-up
+// must stay deterministic.  The file also carries the ignoring-regression
+// fixture — a cycle of choices that a deadlock-strength reduction starves
+// forever, flipping the liveness verdict — and the from-scratch proviso
+// property test: in every cycle-capable SCC of an ltl_x-reduced graph, each
+// transition enabled somewhere in the SCC is fired somewhere in it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +18,6 @@
 #include "graph/scc.hpp"
 #include "pipeline/net_generator.hpp"
 #include "pn/builder.hpp"
-#include "pn/parallel_explore.hpp"
 #include "pn/properties.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
@@ -29,8 +25,6 @@
 
 namespace fcqss::pn {
 namespace {
-
-constexpr std::size_t thread_counts[] = {1, 2, 4};
 
 /// From-scratch enabled set of `tokens`, ascending.
 std::vector<transition_id> scan_enabled(const petri_net& net,
@@ -46,7 +40,7 @@ std::vector<transition_id> scan_enabled(const petri_net& net,
 }
 
 /// Bit-identical comparison: same ids, same token spans, same CSR rows,
-/// same truncation verdict (as in test_stubborn.cpp).
+/// same truncation verdict.
 void expect_identical_spaces(const state_space& expected, const state_space& actual)
 {
     ASSERT_EQ(expected.state_count(), actual.state_count());
@@ -232,15 +226,9 @@ TEST(ltlx_stubborn, ltlx_strength_flips_the_verdict_to_the_correct_one)
     expect_proviso_holds(net, reduced);
     EXPECT_EQ(live_verdict_on(net, reduced), verdict::yes);
 
-    // And through the public query, at every thread count.
+    // And through the public query.
     EXPECT_EQ(check_live(net), verdict::yes);
-    for (const std::size_t threads : thread_counts) {
-        reachability_options options;
-        options.threads = threads;
-        options.reduction = reduction_kind::stubborn;
-        EXPECT_EQ(check_live(net, options), verdict::yes)
-            << "threads " << threads;
-    }
+    EXPECT_EQ(check_live(net, {.reduction = reduction_kind::stubborn}), verdict::yes);
 }
 
 TEST(ltlx_stubborn, fixup_is_a_no_op_on_acyclic_graphs)
@@ -325,9 +313,7 @@ TEST(ltlx_stubborn, invisible_seeds_are_preferred_and_visible_sets_merge)
 // -- Randomized differential sweeps ----------------------------------------
 
 /// One net's worth of the differential: liveness and explicit boundedness
-/// verdicts on the ltl_x-reduced graph must equal the unreduced engine's at
-/// every thread count, and the reduced spaces themselves must be
-/// bit-identical across threads.
+/// verdicts on the ltl_x-reduced graph must equal the unreduced engine's.
 void expect_ltlx_verdicts_match(const petri_net& net)
 {
     reachability_options full;
@@ -337,30 +323,11 @@ void expect_ltlx_verdicts_match(const petri_net& net)
 
     reachability_options reduced = full;
     reduced.reduction = reduction_kind::stubborn;
-    for (const std::size_t threads : thread_counts) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        reduced.threads = threads;
-        EXPECT_EQ(check_live(net, reduced), live_full);
-        for (const std::int64_t k : {std::int64_t{1}, std::int64_t{4}}) {
-            full.threads = threads;
-            EXPECT_EQ(check_k_bounded_explicit(net, k, reduced),
-                      check_k_bounded_explicit(net, k, full))
-                << "k " << k;
-        }
-        full.threads = 1;
-    }
-
-    const state_space sequential = explore_state_space(
-        net, {.max_markings = full.max_markings, .reduction = reduction_kind::stubborn,
-              .strength = reduction_strength::ltl_x});
-    EXPECT_LE(sequential.state_count(), 300000u);
-    for (const std::size_t threads : thread_counts) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        const state_space parallel = explore_parallel(
-            net, {.max_markings = full.max_markings, .threads = threads,
-                  .reduction = reduction_kind::stubborn,
-                  .strength = reduction_strength::ltl_x});
-        expect_identical_spaces(sequential, parallel);
+    EXPECT_EQ(check_live(net, reduced), live_full);
+    for (const std::int64_t k : {std::int64_t{1}, std::int64_t{4}}) {
+        EXPECT_EQ(check_k_bounded_explicit(net, k, reduced),
+                  check_k_bounded_explicit(net, k, full))
+            << "k " << k;
     }
 }
 
@@ -415,41 +382,33 @@ TEST(ltlx_stubborn, verdicts_under_tight_budgets)
         reachability_options tight;
         tight.max_markings = max_markings;
         const verdict full_tight = check_live(net, tight);
-        for (const std::size_t threads : thread_counts) {
-            SCOPED_TRACE("threads " + std::to_string(threads));
-            reachability_options reduced = tight;
-            reduced.threads = threads;
-            reduced.reduction = reduction_kind::stubborn;
-            const verdict red_tight = check_live(net, reduced);
-            if (red_tight == verdict::unknown) {
-                // A truncated reduced run explores a subset of the reachable
-                // markings, so the unreduced run must have truncated too.
-                EXPECT_EQ(full_tight, verdict::unknown);
-            } else {
-                // A complete reduced run is definite — and must agree with
-                // the ground truth even where the same-budget unreduced run
-                // already gave up.
-                EXPECT_EQ(red_tight, truth);
-            }
+        reachability_options reduced = tight;
+        reduced.reduction = reduction_kind::stubborn;
+        const verdict red_tight = check_live(net, reduced);
+        if (red_tight == verdict::unknown) {
+            // A truncated reduced run explores a subset of the reachable
+            // markings, so the unreduced run must have truncated too.
+            EXPECT_EQ(full_tight, verdict::unknown);
+        } else {
+            // A complete reduced run is definite — and must agree with the
+            // ground truth even where the same-budget unreduced run already
+            // gave up.
+            EXPECT_EQ(red_tight, truth);
         }
     }
 
-    // Bit-identity across thread counts survives budgets that truncate the
-    // exploration mid-fixup.
+    // Budgets that truncate the exploration mid-fixup keep the result a
+    // function of the inputs alone: two runs publish the same space.
     for (const std::size_t max_states : {std::size_t{7}, std::size_t{120}}) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
-        const state_space sequential = explore_state_space(
-            net, {.max_markings = max_states, .max_tokens_per_place = 64,
-                  .reduction = reduction_kind::stubborn,
-                  .strength = reduction_strength::ltl_x});
-        for (const std::size_t threads : thread_counts) {
-            SCOPED_TRACE("threads " + std::to_string(threads));
-            const state_space parallel = explore_parallel(
-                net, {.max_markings = max_states, .max_tokens_per_place = 64,
-                      .threads = threads, .reduction = reduction_kind::stubborn,
-                      .strength = reduction_strength::ltl_x});
-            expect_identical_spaces(sequential, parallel);
-        }
+        const reachability_options budget{.max_markings = max_states,
+                                          .max_tokens_per_place = 64,
+                                          .reduction = reduction_kind::stubborn,
+                                          .strength = reduction_strength::ltl_x};
+        const state_space first = explore_space(net, budget);
+        EXPECT_TRUE(first.truncated());
+        EXPECT_EQ(first.state_count(), max_states);
+        expect_identical_spaces(first, explore_space(net, budget));
     }
 }
 
@@ -562,16 +521,13 @@ TEST(ltlx_stubborn, boundedness_visibility_keeps_the_reduction_effective)
     }
 }
 
-TEST(ltlx_stubborn, explore_space_dispatch_carries_strength_and_observed)
+TEST(ltlx_stubborn, explore_space_carries_the_strength)
 {
     const petri_net net = cycle_of_choices();
     reachability_options options;
     options.reduction = reduction_kind::stubborn;
     options.strength = reduction_strength::ltl_x;
-    const state_space sequential = explore_space(net, options);
-    expect_proviso_holds(net, sequential);
-    options.threads = 4;
-    expect_identical_spaces(sequential, explore_space(net, options));
+    expect_proviso_holds(net, explore_space(net, options));
 }
 
 } // namespace

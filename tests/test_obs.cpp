@@ -282,8 +282,8 @@ TEST_F(obs_spans, inert_while_tracing_disabled)
 
 TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match)
 {
-    // A finite choice-heavy net large enough for several BFS levels, so the
-    // per-level flushes actually land while the poller is watching.
+    // A finite choice-heavy net large enough that the engine's periodic
+    // progress flushes land while the poller is watching.
     pipeline::generator_options options;
     options.family = pipeline::net_family::choice_heavy;
     options.sources = 3;
@@ -296,7 +296,6 @@ TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match
     set_stats_enabled(true);
 
     pn::reachability_options reach;
-    reach.threads = 4;
     reach.max_markings = 200000;
 
     std::uint64_t last_states = 0;
@@ -305,7 +304,7 @@ TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match
         pn::state_space result;
         std::jthread explorer(
             [&] { result = pn::explore_space(net, reach); });
-        // Poll while exploration runs: per-level flushes must only grow.
+        // Poll while exploration runs: flushed totals must only grow.
         for (int poll = 0; poll < 200; ++poll) {
             const std::vector<metric> rows = snapshot();
             if (has_metric(rows, "pn.explore.states")) {
@@ -332,46 +331,8 @@ TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match
     EXPECT_EQ(metric_value(rows, "pn.explore.edges"),
               static_cast<double>(space.edge_count()));
     EXPECT_GT(metric_value(rows, "pn.store.hash_probes"), 0.0);
-    EXPECT_GT(metric_value(rows, "pn.store.inserts"), 0.0);
-    EXPECT_GE(metric_value(rows, "pn.explore.states"),
-              metric_value(rows, "pn.explore.levels"));
-
-    // On a non-truncated run every state was interned by exactly one shard.
-    double shard_sum = 0;
-    for (int s = 0;; ++s) {
-        const std::string name = "pn.par.shard." + std::to_string(s) + ".states";
-        if (!has_metric(rows, name)) {
-            break;
-        }
-        shard_sum += metric_value(rows, name);
-    }
-    EXPECT_EQ(shard_sum, static_cast<double>(space.state_count()));
-}
-
-TEST_F(obs_snapshot, sequential_explore_flushes_matching_totals)
-{
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::free_choice;
-    options.sources = 2;
-    options.depth = 4;
-    options.token_load = 1;
-    options.source_credit = 1;
-    pipeline::net_generator generator(11, options);
-    const pn::petri_net net = generator.next();
-
-    set_stats_enabled(true);
-    pn::reachability_options reach;
-    reach.threads = 1;
-    reach.max_markings = 100000;
-    const pn::state_space space = pn::explore_space(net, reach);
-    ASSERT_FALSE(space.truncated());
-
-    const std::vector<metric> rows = snapshot();
-    EXPECT_EQ(metric_value(rows, "pn.explore.states"),
+    EXPECT_EQ(metric_value(rows, "pn.store.inserts"),
               static_cast<double>(space.state_count()));
-    EXPECT_EQ(metric_value(rows, "pn.explore.edges"),
-              static_cast<double>(space.edge_count()));
-    EXPECT_GT(metric_value(rows, "pn.store.hash_probes"), 0.0);
 }
 
 TEST_F(obs_snapshot, qss_counters_count_the_search_exactly)

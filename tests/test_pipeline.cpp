@@ -16,6 +16,7 @@
 #include "pipeline/net_generator.hpp"
 #include "pipeline/synthesis_pipeline.hpp"
 #include "pn/net_class.hpp"
+#include "pnio/parser.hpp"
 #include "pnio/writer.hpp"
 
 namespace fcqss::pipeline {
@@ -242,6 +243,27 @@ TEST(net_generator, rejects_bad_options)
     options.sources = 1;
     options.defect_percent = 101;
     EXPECT_THROW(net_generator(1, options), model_error);
+}
+
+TEST(net_generator, stops_past_the_default_reader_limits)
+{
+    // fc from seed 1 at depth 30 grows to ~1.2M places and 1.6M
+    // transitions (a 119 MB .pn that parse_net rejects with the default
+    // limits); the generator must give up as soon as the net passes those
+    // limits instead of building it, as it does at depth 40, where the
+    // growth used to run out of memory.
+    generator_options options;
+    options.family = net_family::free_choice;
+    options.depth = 30;
+    net_generator deep(1, options);
+    EXPECT_THROW(static_cast<void>(deep.next()), resource_limit_error);
+
+    // Nets inside the limits still round-trip through the default reader.
+    options.depth = 22;
+    net_generator shallow(1, options);
+    const pn::petri_net net = shallow.next();
+    EXPECT_GT(net.place_count(), 10000u);
+    EXPECT_EQ(pnio::parse_net(pnio::write_net(net)).place_count(), net.place_count());
 }
 
 std::vector<net_source> mixed_workload(std::size_t count)

@@ -1,9 +1,9 @@
 // External-memory differential net: exploration under a --max-bytes budget
 // must publish a state space bit-identical to the all-in-RAM run — same ids,
-// token spans, CSR rows and truncation verdict — across generator families,
-// thread counts and spill ratios (budgets derived from the unlimited run's
-// own arena size).  Also pins the operational surface: evictions really
-// happen under a tight budget on both engines, and a truncated spill file
+// token spans, CSR rows and truncation verdict — across generator families
+// and spill ratios (budgets derived from the unlimited run's own arena
+// size).  Also pins the operational surface: evictions really happen under
+// a tight budget, and a truncated spill file
 // surfaces as fcqss::io_error at the store layer, not UB.  The ASan CI job
 // runs this file, covering the whole mmap/madvise/refault path.
 #include <gtest/gtest.h>
@@ -25,7 +25,8 @@
 namespace fcqss::pn {
 namespace {
 
-/// Bit-identical comparison, same contract as test_parallel_explore.cpp.
+/// Bit-identical comparison: same ids, same token spans, same CSR rows,
+/// same truncation verdict.
 void expect_identical_spaces(const state_space& expected, const state_space& actual)
 {
     ASSERT_EQ(expected.state_count(), actual.state_count());
@@ -58,7 +59,7 @@ petri_net family_net(pipeline::net_family family, std::uint64_t seed)
     return pipeline::net_generator(seed, options).next();
 }
 
-TEST(Spill, BitIdenticalAcrossFamiliesThreadsAndRatios)
+TEST(Spill, BitIdenticalAcrossFamiliesAndRatios)
 {
     const pipeline::net_family families[] = {
         pipeline::net_family::free_choice,
@@ -80,18 +81,14 @@ TEST(Spill, BitIdenticalAcrossFamiliesThreadsAndRatios)
         const std::size_t budgets[] = {std::max<std::size_t>(arena / 2, 4096),
                                        std::max<std::size_t>(arena / 10, 4096)};
         for (const std::size_t budget : budgets) {
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                reachability_options opts = base;
-                opts.max_bytes = budget;
-                opts.threads = threads;
-                const state_space spilled = explore_space(net, opts);
-                expect_identical_spaces(baseline, spilled);
-            }
+            reachability_options opts = base;
+            opts.max_bytes = budget;
+            expect_identical_spaces(baseline, explore_space(net, opts));
         }
     }
 }
 
-TEST(Spill, TightBudgetEvictsOnBothEngines)
+TEST(Spill, TightBudgetEvicts)
 {
     // client_server without source credit is unbounded: truncation at
     // max_markings guarantees a large arena, so a 64 KiB budget forces most
@@ -105,20 +102,16 @@ TEST(Spill, TightBudgetEvictsOnBothEngines)
     const state_space baseline = explore_space(net, unlimited);
     ASSERT_TRUE(baseline.truncated());
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        reachability_options spilled = unlimited;
-        spilled.max_bytes = 64 * 1024;
-        spilled.threads = threads;
-        const state_space space = explore_space(net, spilled);
-        expect_identical_spaces(baseline, space);
+    reachability_options spilled = unlimited;
+    spilled.max_bytes = 64 * 1024;
+    const state_space space = explore_space(net, spilled);
+    expect_identical_spaces(baseline, space);
 
-        ASSERT_NE(space.store().pager(), nullptr);
-        const exec::chunk_pager_stats pager_stats = space.store().pager()->stats();
-        EXPECT_GT(pager_stats.chunks, 1u);
-        EXPECT_GT(pager_stats.evictions, 0u);
-        EXPECT_GT(pager_stats.spill_file_bytes, 0u);
-    }
+    ASSERT_NE(space.store().pager(), nullptr);
+    const exec::chunk_pager_stats pager_stats = space.store().pager()->stats();
+    EXPECT_GT(pager_stats.chunks, 1u);
+    EXPECT_GT(pager_stats.evictions, 0u);
+    EXPECT_GT(pager_stats.spill_file_bytes, 0u);
 }
 
 TEST(Spill, TruncatedSpillFileSurfacesAsIoErrorNotUB)

@@ -3,8 +3,14 @@
 // views, and — the load-bearing one — a differential sweep asserting that
 // explore_space() visits the identical marking set and edge list as
 // explore_reference() (the naive map-based BFS) on seeded generator nets
-// of all three families, with defects and token load, under every budget.
+// of all three families, with defects and token load, under every budget —
+// plus equivalence tests pinning the span-served find_deadlock /
+// shortest_path_to / is_reachable / place_bounds over explore_space()
+// against the linear-scan queries over explore_reference().
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "nets/paper_nets.hpp"
 #include "pipeline/net_generator.hpp"
@@ -145,8 +151,12 @@ TEST(state_space, differential_against_reference_on_generated_nets)
                                               .max_tokens_per_place = 64};
             SCOPED_TRACE(std::string("family ") + pipeline::to_string(family) +
                          " net " + std::to_string(i));
-            expect_matches_reference(explore_space(net, budget),
-                                     explore_reference(net, budget));
+            const reachability_graph reference = explore_reference(net, budget);
+            expect_matches_reference(explore_space(net, budget), reference);
+            // `threads` is accepted and ignored: the same graph at 3.
+            reachability_options threaded = budget;
+            threaded.threads = 3;
+            expect_matches_reference(explore_space(net, threaded), reference);
         }
     }
 }
@@ -161,9 +171,13 @@ TEST(state_space, differential_under_tight_budgets)
     pipeline::net_generator generator(13, options);
     const petri_net net = generator.next();
 
-    // Tight state cap: both must truncate at the same point.
-    {
-        const reachability_options budget{.max_markings = 25, .max_tokens_per_place = 64};
+    // Tight state caps, down to the root alone: both must truncate at the
+    // same point.
+    for (const std::size_t max_states : {std::size_t{1}, std::size_t{7},
+                                         std::size_t{25}, std::size_t{200}}) {
+        SCOPED_TRACE("max_states " + std::to_string(max_states));
+        const reachability_options budget{.max_markings = max_states,
+                                          .max_tokens_per_place = 64};
         const state_space engine = explore_space(net, budget);
         EXPECT_TRUE(engine.truncated());
         expect_matches_reference(engine, explore_reference(net, budget));
@@ -185,6 +199,127 @@ TEST(state_space, differential_on_paper_nets)
                                           .max_tokens_per_place = 1 << 10};
         expect_matches_reference(explore_space(net, budget),
                                  explore_reference(net, budget));
+    }
+}
+
+// -- Span-served queries vs the linear scans over the reference graph --------
+
+/// A linear chain that genuinely deadlocks: p0 -> t0 -> p1 -> t1 -> p2 with
+/// no consumer of p2 (and no source transitions).
+petri_net dead_end_chain()
+{
+    net_builder b("dead_end");
+    const auto p0 = b.add_place("p0", 1);
+    const auto p1 = b.add_place("p1");
+    const auto p2 = b.add_place("p2");
+    const auto t0 = b.add_transition("t0");
+    const auto t1 = b.add_transition("t1");
+    b.add_arc(p0, t0);
+    b.add_arc(t0, p1);
+    b.add_arc(p1, t1);
+    b.add_arc(t1, p2);
+    return std::move(b).build();
+}
+
+TEST(span_queries, find_deadlock_matches_reference)
+{
+    // One deadlocking net, one live net, and generated nets with sources
+    // (never dead) — verdicts must match the reference scan on all of them.
+    std::vector<petri_net> nets;
+    nets.push_back(dead_end_chain());
+    nets.push_back(nets::figure_2());
+    pipeline::net_generator generator(41);
+    nets.push_back(generator.next());
+
+    for (const petri_net& net : nets) {
+        SCOPED_TRACE(net.name());
+        const reachability_options budget{.max_markings = 2000,
+                                          .max_tokens_per_place = 64};
+        const reachability_graph graph = explore_reference(net, budget);
+        const state_space space = explore_space(net, budget);
+
+        const std::optional<marking> old_verdict = find_deadlock(net, graph);
+        const std::optional<state_id> span_verdict = find_deadlock(net, space);
+        ASSERT_EQ(old_verdict.has_value(), span_verdict.has_value());
+        if (old_verdict) {
+            EXPECT_EQ(*old_verdict, space.marking_of(*span_verdict));
+        }
+    }
+}
+
+TEST(span_queries, truncation_does_not_fake_deadlocks)
+{
+    // Under a tiny state budget the frontier states have zero recorded
+    // edges; the span-served check must still see their enabled transitions
+    // and not report them dead.
+    pipeline::net_generator generator(43);
+    const petri_net net = generator.next(); // has source transitions: live
+    const reachability_options budget{.max_markings = 3, .max_tokens_per_place = 64};
+    const state_space space = explore_space(net, budget);
+    EXPECT_TRUE(space.truncated());
+    EXPECT_EQ(find_deadlock(net, space), std::nullopt);
+    EXPECT_EQ(find_deadlock(net, explore_reference(net, budget)), std::nullopt);
+}
+
+TEST(span_queries, shortest_path_and_reachability_match)
+{
+    const petri_net net = dead_end_chain();
+    const reachability_options budget{.max_markings = 100};
+    const reachability_graph graph = explore_reference(net, budget);
+    const state_space space = explore_space(net, budget);
+    ASSERT_EQ(graph.size(), space.state_count());
+
+    for (std::size_t s = 0; s < graph.size(); ++s) {
+        const marking& target = graph.nodes[s].state;
+        EXPECT_TRUE(is_reachable(space, target));
+        EXPECT_EQ(shortest_path_to(net, space, target),
+                  shortest_path_to(net, graph, target));
+    }
+
+    // Absent targets: right width but unreachable, and wrong width.
+    marking absent(std::vector<std::int64_t>{9, 9, 9});
+    EXPECT_FALSE(is_reachable(space, absent));
+    EXPECT_EQ(shortest_path_to(net, space, absent), std::nullopt);
+    EXPECT_EQ(shortest_path_to(net, graph, absent), std::nullopt);
+    marking wrong_width(std::vector<std::int64_t>{1});
+    EXPECT_FALSE(is_reachable(space, wrong_width));
+    EXPECT_EQ(shortest_path_to(net, space, wrong_width), std::nullopt);
+}
+
+TEST(span_queries, shortest_path_matches_on_generated_nets)
+{
+    pipeline::generator_options options;
+    options.family = pipeline::net_family::free_choice;
+    options.token_load = 2;
+    pipeline::net_generator generator(47, options);
+    const petri_net net = generator.next();
+    const reachability_options budget{.max_markings = 800,
+                                      .max_tokens_per_place = 64};
+    const reachability_graph graph = explore_reference(net, budget);
+    const state_space space = explore_space(net, budget);
+    ASSERT_EQ(graph.size(), space.state_count());
+
+    // Every 37th explored marking, plus the deepest one.
+    for (std::size_t s = 0; s < graph.size(); s += 37) {
+        const marking& target = graph.nodes[s].state;
+        EXPECT_EQ(shortest_path_to(net, space, target),
+                  shortest_path_to(net, graph, target))
+            << "state " << s;
+    }
+    const marking& deepest = graph.nodes.back().state;
+    EXPECT_EQ(shortest_path_to(net, space, deepest),
+              shortest_path_to(net, graph, deepest));
+}
+
+TEST(span_queries, place_bounds_match)
+{
+    pipeline::net_generator generator(53);
+    for (int i = 0; i < 3; ++i) {
+        const petri_net net = generator.next();
+        const reachability_options budget{.max_markings = 500,
+                                          .max_tokens_per_place = 32};
+        EXPECT_EQ(place_bounds(explore_space(net, budget)),
+                  place_bounds(explore_reference(net, budget)));
     }
 }
 

@@ -14,7 +14,7 @@ which makes the script usable both as a local trajectory viewer::
 
     tools/bench_diff.py /tmp/prev/BENCH_scaling.json BENCH_scaling.json
 
-and as a CI regression tripwire alongside the hard speedup gates::
+and as a CI regression tripwire alongside the hard gates::
 
     tools/bench_diff.py old.json new.json --fail-below 30
 
@@ -83,7 +83,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--info-metric",
-        default=r"(probe rate|shard imbalance|overhead pct|dedupe? hit rate|latency ms)",
+        default=r"(probe rate|overhead pct|dedupe? hit rate|latency ms)",
         metavar="REGEX",
         help="regex selecting labels shown with deltas but exempt from "
         "--fail-below (default: the obs engine-health and service latency "
